@@ -18,13 +18,6 @@ against the retained per-literal dict reference
 (:func:`build_circuit_state_graph_reference`) over every synthesized
 Table-1 netlist, next to the frozen paired A/B that accepted the IR.
 
-The ``wordlane`` section records the paired A/B for the word-lane
-analysis backend: ``analyze_mc`` through the lane engine
-(:mod:`repro.sg.wordlane`) against the plain bitengine on the same two
-stress generators, byte-identity of the MC reports asserted before any
-timing.  The frozen pair was measured with the numpy kernel; the active
-kernel is recorded alongside the measurements.
-
 Each measurement builds a *fresh* state graph per round: the engine
 memoises aggressively in ``sg._analysis_cache``, and a warm graph would
 time cache hits instead of the analysis.
@@ -123,111 +116,6 @@ def test_hotpath_smoke(maker, n):
     assert report.satisfied
     engine = bit_analysis(sg)
     assert engine.cube_evals > 0  # the bitset path actually ran
-
-
-# ----------------------------------------------------------------------
-# Word-lane engine: paired wordlane vs bitengine analyze_mc
-# ----------------------------------------------------------------------
-
-#: analyze_mc wall time of the bitengine backend from the paired A/B run
-#: that accepted the wordlane engine (numpy kernel, single-core dev
-#: host, fresh graph per trial, interleaved).  Frozen: do not re-measure.
-WORDLANE_PAIRED_BITENGINE_MS = {
-    "concurrent_fork(5)": {"best": 5.13, "median": 5.62},
-    "token_ring(12)": {"best": 5.86, "median": 6.49},
-}
-
-#: the wordlane backend's times from the *same* paired run (fork(5):
-#: 1.49x best / 1.53x median; ring(12): 2.14x / 2.18x).  Frozen
-#: alongside so the acceptance pair survives noisy reruns.  Measured
-#: with the numpy kernel; the pure-python fallback kernel trades this
-#: speedup for dependency-freedom and is not ratio-gated.
-WORDLANE_PAIRED_MS = {
-    "concurrent_fork(5)": {"best": 3.45, "median": 3.67},
-    "token_ring(12)": {"best": 2.75, "median": 2.97},
-}
-
-_wordlane_measured = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _record_wordlane_json():
-    """Merge the wordlane A/B measurements into the JSON log."""
-    yield
-    if not _wordlane_measured:
-        return
-    from repro.sg import lanes
-
-    update_pipeline_json(
-        "wordlane",
-        {
-            "kernel": lanes.get_kernel().name,
-            "paired_bitengine_ms": WORDLANE_PAIRED_BITENGINE_MS,
-            "paired_wordlane_ms": WORDLANE_PAIRED_MS,
-            "measured_ms": _wordlane_measured,
-        },
-        path=_JSON_PATH,
-    )
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_wordlane_vs_bitengine(case):
-    """The lane engine beats the plain bitengine and agrees byte-for-byte."""
-    import gc
-    import json
-    import time
-
-    from repro.pipeline.backends import get_backend
-    from repro.pipeline.serialize import mc_report_to_json
-
-    stg = CASES[case]()
-    bitengine = get_backend("bitengine")
-    wordlane = get_backend("wordlane")
-
-    # byte identity first: the ratio is meaningless if the claims differ
-    blobs = [
-        json.dumps(
-            mc_report_to_json(backend.analyze_mc(stg_to_state_graph(stg))),
-            sort_keys=True,
-        )
-        for backend in (bitengine, wordlane)
-    ]
-    identical = blobs[0] == blobs[1]
-    assert identical, f"{case}: wordlane diverged from bitengine"
-
-    bit_times, lane_times = [], []
-    for _ in range(9):  # interleaved, fresh graph per trial
-        sg = stg_to_state_graph(stg)
-        gc.collect()
-        start = time.perf_counter()
-        bitengine.analyze_mc(sg)
-        bit_times.append((time.perf_counter() - start) * 1000)
-        sg = stg_to_state_graph(stg)
-        gc.collect()
-        start = time.perf_counter()
-        wordlane.analyze_mc(sg)
-        lane_times.append((time.perf_counter() - start) * 1000)
-
-    bit_times.sort()
-    lane_times.sort()
-    _wordlane_measured[case] = {
-        "bitengine": {
-            "best": round(bit_times[0], 2),
-            "median": round(bit_times[4], 2),
-        },
-        "wordlane": {
-            "best": round(lane_times[0], 2),
-            "median": round(lane_times[4], 2),
-        },
-        "speedup_best": round(bit_times[0] / lane_times[0], 2),
-        "speedup_median": round(bit_times[4] / lane_times[4], 2),
-        "identical": identical,
-    }
-    print(
-        f"\n[wordlane] {case}: wordlane {lane_times[0]:.2f}ms, "
-        f"bitengine {bit_times[0]:.2f}ms "
-        f"({bit_times[0] / lane_times[0]:.2f}x, identical={identical})"
-    )
 
 
 # ----------------------------------------------------------------------

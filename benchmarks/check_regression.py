@@ -16,13 +16,6 @@ the retained per-literal dict reference
 (:func:`~repro.netlist.circuit_sg.build_circuit_state_graph_reference`)
 over every synthesized Table-1 netlist.
 
-The ``wordlane`` section freezes the paired (bitengine / wordlane)
-``analyze_mc`` ratios of the word-lane analysis backend, measured with
-the numpy kernel.  That leg is ratio-gated only when the numpy kernel is
-active: on a runner without numpy the backend falls back to the
-pure-python kernel, whose contract is identity, not speed, so only the
-byte-identity tests gate it there.
-
 The ``incremental`` section (written by ``benchmarks/bench_incremental.py``)
 freezes the single-edit warm-vs-cold re-synthesis measurement of the
 delta pipeline.  Like ``service`` it is gated on an absolute floor
@@ -156,40 +149,6 @@ def measure_hazard_sim_ratio(rounds: int = 5) -> tuple:
             build_circuit_state_graph_reference(netlist, spec)
         reference_times.append(time.perf_counter() - start)
     return min(packed_times) * 1000, min(reference_times) * 1000
-
-
-def frozen_wordlane_ratios(path: str = _JSON_PATH) -> dict:
-    """Frozen (bitengine / wordlane) analyze_mc ratios (numpy kernel)."""
-    with open(path) as handle:
-        document = json.load(handle)
-    section = document["wordlane"]
-    return FrozenBaseline(
-        reference_ms={
-            case: row["best"]
-            for case, row in section["paired_bitengine_ms"].items()
-        },
-        engine_ms={
-            case: row["best"]
-            for case, row in section["paired_wordlane_ms"].items()
-        },
-    ).ratios
-
-
-def measure_wordlane_ratio(case: str, rounds: int = 5) -> tuple:
-    """Best-of-N wall times for the wordlane and bitengine backends."""
-    stg = CASES[case]()
-    wordlane, bitengine = get_backend("wordlane"), get_backend("bitengine")
-    wordlane_times, bitengine_times = [], []
-    for _ in range(rounds):
-        sg = stg_to_state_graph(stg)
-        start = time.perf_counter()
-        wordlane.analyze_mc(sg)
-        wordlane_times.append(time.perf_counter() - start)
-        sg = stg_to_state_graph(stg)  # fresh: both backends start cold
-        start = time.perf_counter()
-        bitengine.analyze_mc(sg)
-        bitengine_times.append(time.perf_counter() - start)
-    return min(wordlane_times) * 1000, min(bitengine_times) * 1000
 
 
 def incremental_section(path: str = _JSON_PATH) -> dict:
@@ -404,15 +363,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sections",
-        default="hotpath,hazard-sim,wordlane,service,incremental,batch,corpus",
+        default="hotpath,hazard-sim,service,incremental,batch,corpus",
         help="comma-separated subset of gates to run (default: all); "
         "e.g. --sections service against a fresh bench_service output",
     )
     args = parser.parse_args(argv)
     sections = {name.strip() for name in args.sections.split(",") if name}
     unknown = sections - {
-        "hotpath", "hazard-sim", "wordlane", "service", "incremental",
-        "batch", "corpus",
+        "hotpath", "hazard-sim", "service", "incremental", "batch",
+        "corpus",
     }
     if unknown:
         print(
@@ -467,44 +426,6 @@ def main(argv=None) -> int:
         )
         if measured < floor:
             failed.append("hazard-sim/table1_corpus")
-
-    frozen_lane = {}
-    if "wordlane" in sections:
-        try:
-            frozen_lane = frozen_wordlane_ratios(args.json)
-        except (OSError, KeyError, ValueError):
-            print("wordlane: no frozen baseline, skipped")
-    if frozen_lane:
-        from repro.sg import lanes
-
-        kernel = lanes.get_kernel()
-        if kernel.name != "numpy":
-            # the frozen pair was measured with the numpy kernel; the
-            # pure-python fallback trades the speedup for dependency
-            # freedom, so only output identity (tests) gates it here
-            print(
-                "wordlane: python fallback kernel active, "
-                "ratio gate skipped (frozen pair is numpy-kernel)"
-            )
-        else:
-            for case in sorted(CASES):
-                if case not in frozen_lane:
-                    print(f"wordlane/{case}: no frozen baseline, skipped")
-                    continue
-                lane_ms, engine_ms = measure_wordlane_ratio(
-                    case, rounds=args.rounds
-                )
-                measured = engine_ms / lane_ms
-                floor = frozen_lane[case] / args.factor
-                verdict = "ok" if measured >= floor else "REGRESSED"
-                print(
-                    f"wordlane/{case}: wordlane {lane_ms:.2f}ms, "
-                    f"bitengine {engine_ms:.2f}ms "
-                    f"-> {measured:.2f}x (frozen {frozen_lane[case]:.2f}x, "
-                    f"floor {floor:.2f}x): {verdict}"
-                )
-                if measured < floor:
-                    failed.append(f"wordlane/{case}")
 
     incremental = {}
     if "incremental" in sections:

@@ -357,62 +357,6 @@ class CompiledCover:
         return CompiledCover(self.space, kept)
 
     # ------------------------------------------------------------------
-    # Lane import / export (word-parallel frontier matching)
-    # ------------------------------------------------------------------
-    def to_lanes(self, kernel=None) -> Tuple[object, object]:
-        """Export the cover as paired ``(masks, values)`` lane matrices.
-
-        Row ``i`` of each matrix is cube ``i``'s packed word against the
-        kernel of :mod:`repro.sg.lanes` (numpy ``uint64`` lanes or the
-        pure-python fallback); together they drive whole-frontier
-        covering tests via :meth:`covered_rows` and round-trip through
-        :meth:`from_lanes` without touching literal dicts.
-        """
-        if kernel is None:
-            from repro.sg.lanes import get_kernel
-
-            kernel = get_kernel()
-        width = self.space.width
-        masks = kernel.pack_code_matrix([c.mask for c in self.cubes], width)
-        values = kernel.pack_code_matrix([c.value for c in self.cubes], width)
-        return masks, values
-
-    @classmethod
-    def from_lanes(
-        cls, space: SignalSpace, masks, values, kernel=None
-    ) -> "CompiledCover":
-        """Rebuild a cover from :meth:`to_lanes` matrices (row order kept)."""
-        if kernel is None:
-            from repro.sg.lanes import get_kernel
-
-            kernel = get_kernel()
-        return cls(
-            space,
-            (
-                CompiledCube(space, mask, value)
-                for mask, value in zip(kernel.row_ints(masks), kernel.row_ints(values))
-            ),
-        )
-
-    def covered_rows(self, code_rows, nrows: int, kernel=None) -> int:
-        """Bitset of frontier rows covered by *any* cube of the cover.
-
-        ``code_rows`` is a lane matrix of packed codes (one row per
-        frontier item, from ``kernel.pack_code_matrix``); the result has
-        bit ``i`` set iff row ``i`` satisfies some cube's
-        ``code & mask == value`` -- one lane comparison per cube instead
-        of one python loop per (row, cube) pair.
-        """
-        if kernel is None:
-            from repro.sg.lanes import get_kernel
-
-            kernel = get_kernel()
-        bits = 0
-        for cube in self.cubes:
-            bits |= kernel.match_rows(code_rows, cube.mask, cube.value, nrows)
-        return bits
-
-    # ------------------------------------------------------------------
     # Views & plumbing
     # ------------------------------------------------------------------
     def literal_count(self) -> int:

@@ -63,16 +63,11 @@ def smallest_cover_cube(sg: StateGraph, er: ExcitationRegion) -> Cube:
     cached = sg._analysis_cache.get(("scc", er))
     if cached is not None:
         return cached
-    engine = bit_analysis(sg)
-    lowered = getattr(engine, "smallest_cover_cube_lowered", None)
-    if lowered is not None:  # word-lane engine: values off the packed code
-        cube = lowered(sg, er)
-    else:
-        some_state = next(iter(er.states))
-        literals = {}
-        for signal in ordered_signals(sg, er):
-            literals[signal] = sg.value(some_state, signal)
-        cube = Cube(literals)
+    some_state = next(iter(er.states))
+    literals = {}
+    for signal in ordered_signals(sg, er):
+        literals[signal] = sg.value(some_state, signal)
+    cube = Cube(literals)
     sg._analysis_cache[("scc", er)] = cube
     return cube
 
@@ -105,11 +100,6 @@ def _forbidden_bits(sg: StateGraph, signal: str, direction: int) -> int:
     if cached is not None:
         return cached
     engine = bit_analysis(sg)
-    lowered = getattr(engine, "forbidden_bits_lowered", None)
-    if lowered is not None:  # word-lane engine: three cached bitsets
-        bits = lowered(signal, direction)
-        cache[key] = bits
-        return bits
     sets = excited_value_sets(sg, signal)
     if direction == 1:
         forbidden = sets["1*-set"] | sets["0-set"]
@@ -125,11 +115,9 @@ def _er_bits(sg: StateGraph, er: ExcitationRegion) -> int:
 
 
 def _cfr_bits(sg: StateGraph, er: ExcitationRegion) -> int:
-    engine = bit_analysis(sg)
-    lowered = getattr(engine, "cfr_bits_lowered", None)
-    if lowered is not None:  # word-lane engine: no frozenset round-trip
-        return lowered(er)
-    return engine.region_bits(("cfr", er), constant_function_region(sg, er))
+    return bit_analysis(sg).region_bits(
+        ("cfr", er), constant_function_region(sg, er)
+    )
 
 
 def _literal_masks(
@@ -402,9 +390,6 @@ def find_monotonous_cover(
     of the CFR against a successor-bitset table.
     """
     engine = bit_analysis(sg)
-    lowered = getattr(engine, "find_monotonous_cover_lowered", None)
-    if lowered is not None:  # word-lane engine: block-batched candidates
-        return lowered(sg, er, max_literal_budget)
     cfr_bits = _cfr_bits(sg, er)
     full = smallest_cover_cube(sg, er)
     outside_all = engine.all_states_bits & ~cfr_bits

@@ -4,8 +4,7 @@ Everything that produces *generated* (as opposed to benchmark) designs
 draws from here: parametric STG families (:mod:`repro.corpus.families`),
 declarative corpus recipes (:mod:`repro.corpus.spec`, JSON dialect
 ``repro-corpus-spec/1``), and the structurally-admitted streaming
-factory (:mod:`repro.corpus.factory`).  ``bench.generators`` is a
-deprecated forwarding shim onto this package.
+factory (:mod:`repro.corpus.factory`).
 """
 
 from repro.corpus.families import (

@@ -210,140 +210,6 @@ def build_circuit_state_graph(
     )
 
 
-def build_circuit_state_graph_batched(
-    netlist: Netlist,
-    spec: StateGraph,
-    max_states: int = 500_000,
-    kernel=None,
-) -> Composition:
-    """The composition BFS with whole-wavefront gate evaluation.
-
-    Identical result (state ids, arc order, diagnostics, truncation) to
-    :func:`build_circuit_state_graph`; the difference is purely in how
-    gate excitation is computed.  The queue is consumed in waves -- the
-    snapshot of currently known unexplored states -- and every gate
-    scores the *entire wave* in one lane sweep over its
-    :meth:`~repro.netlist.gates.Gate.lane_evaluator` masks (numpy
-    ``uint64`` lanes under the ``fast`` extra, the pure-python word
-    kernel otherwise), instead of one compiled-closure call per
-    (state, gate) pair.  Wave processing order equals queue order, so
-    the traversal is the same FIFO BFS as the scalar path.
-    """
-    from repro.sg import lanes
-
-    _check_interfaces(netlist, spec)
-    if kernel is None:
-        kernel = lanes.get_kernel()
-
-    plan = NetlistPlan(netlist)
-    space = plan.space
-    width = space.width
-    signal_order = netlist.signals
-    initial_values = _settled_initial_values(netlist, spec)
-    initial = (spec.initial, tuple(initial_values[s] for s in signal_order))
-    spec_inputs = spec.inputs
-    spec_non_inputs = spec.non_inputs
-    position = space.position
-    pack_vector = space.pack_vector
-    unpack_vector = space.unpack_vector
-    lane_items = plan.lane_items()
-    rs_checks = plan.rs_checks
-
-    codes: Dict[State, Tuple[int, ...]] = {initial: initial[1]}
-    arcs: List[Tuple[State, SignalEvent, State]] = []
-    failures: List[Tuple[State, str]] = []
-    rs_violations: List[Tuple[State, str]] = []
-    parents: Dict[State, Tuple[State, SignalEvent]] = {}
-    queue: List[State] = [initial]
-    seen: Set[State] = {initial}
-    truncated = False
-    head = 0
-
-    while head < len(queue):
-        wave = queue[head:]
-        head = len(queue)
-        nrows = len(wave)
-        wave_codes = [pack_vector(state[1]) for state in wave]
-        code_rows = kernel.pack_code_matrix(wave_codes, width)
-        all_rows = (1 << nrows) - 1
-        # one sweep per gate scores the whole wave: rows whose output is
-        # currently 1, rows whose next output differs (excited rows)
-        gate_rows: List[Tuple[str, int, int]] = []
-        for name, out_bit, evaluate in lane_items:
-            cur_rows = kernel.match_rows(code_rows, out_bit, out_bit, nrows)
-            next_rows = evaluate(kernel, code_rows, nrows, all_rows, cur_rows)
-            gate_rows.append((name, out_bit, next_rows ^ cur_rows))
-        rs_rows = [
-            (name, kernel.match_rows(code_rows, mask, value, nrows))
-            for name, mask, value in rs_checks
-        ]
-
-        for row, current in enumerate(wave):
-            spec_state = current[0]
-            packed = wave_codes[row]
-            row_bit = 1 << row
-            successors: List[Tuple[SignalEvent, State]] = []
-
-            # environment moves
-            for event, spec_target in spec.arcs_from(spec_state):
-                if event.signal not in spec_inputs:
-                    continue
-                bit = 1 << position[event.signal]
-                new_packed = (packed | bit) if event.value_after else (packed & ~bit)
-                successors.append(
-                    (event, (spec_target, unpack_vector(new_packed)))
-                )
-
-            # RS input-overlap diagnostics (S = R = 1)
-            for name, hits in rs_rows:
-                if hits & row_bit:
-                    rs_violations.append((current, name))
-
-            # circuit moves, read off the per-gate excitation bitsets
-            for name, out_bit, excited_rows in gate_rows:
-                if not excited_rows & row_bit:
-                    continue
-                event = SignalEvent(name, -1 if packed & out_bit else +1)
-                new_spec_state = spec_state
-                if name in spec_non_inputs:
-                    spec_targets = spec.fire(spec_state, event)
-                    if not spec_targets:
-                        failures.append((current, name))
-                        continue
-                    new_spec_state = spec_targets[0]
-                successors.append(
-                    (event, (new_spec_state, unpack_vector(packed ^ out_bit)))
-                )
-
-            for event, target in successors:
-                if target not in seen:
-                    if len(seen) >= max_states:
-                        truncated = True
-                        continue
-                    seen.add(target)
-                    codes[target] = target[1]
-                    parents[target] = (current, event)
-                    queue.append(target)
-                if target in seen:
-                    arcs.append((current, event, target))
-
-    sg = StateGraph(
-        signal_order,
-        netlist.inputs,
-        codes,
-        arcs,
-        initial,
-        name=f"{netlist.name}|{spec.name}",
-    )
-    return Composition(
-        sg=sg,
-        conformance_failures=failures,
-        rs_violations=rs_violations,
-        truncated=truncated,
-        parents=parents,
-    )
-
-
 def build_circuit_state_graph_reference(
     netlist: Netlist,
     spec: StateGraph,

@@ -203,88 +203,6 @@ class Gate:
             return rs_eval
         raise AssertionError(f"unknown gate kind {self.kind}")  # pragma: no cover
 
-    def lane_test(self, space: SignalSpace) -> Optional[Tuple[int, int, int]]:
-        """The gate as one ``(mask, value, flip)`` covering test.
-
-        For the match-family kinds (AND/NAND/OR/NOR/BUF/NOT, including
-        their degenerate constant forms) the next output is
-        ``(packed & mask == value) ^ flip`` -- the shape
-        :meth:`lane_evaluator` and the batched simulator sweep evaluate
-        for a whole wavefront of codes in one lane comparison.  Returns
-        ``None`` for the state-holding and SOP kinds (C, RS, COMPLEX),
-        which need the current output or a multi-cube cover.
-        """
-        if self.kind in (GateKind.AND, GateKind.NAND):
-            flip = 0 if self.kind == GateKind.AND else 1
-            ones = self._input_requirements(space)
-            if ones is None:  # unsatisfiable conjunction: constant 0 / 1
-                return 0, 0, flip ^ 1
-            return ones[0], ones[1], flip
-        if self.kind in (GateKind.OR, GateKind.NOR):
-            flip = 1 if self.kind == GateKind.OR else 0
-            zeros = self._input_requirements(space, flip=True)
-            if zeros is None:  # some input is always 1: constant 1 / 0
-                return 0, 0, flip ^ 1
-            return zeros[0], zeros[1], flip
-        if self.kind in (GateKind.BUF, GateKind.NOT):
-            (signal, polarity), = self.inputs
-            bit = 1 << space.position[signal]
-            flip = 0 if self.kind == GateKind.BUF else 1
-            return bit, bit if polarity else 0, flip
-        return None
-
-    def lane_evaluator(self, space: SignalSpace):
-        """Compile the gate into a whole-wavefront batch closure.
-
-        The returned callable takes ``(kernel, code_rows, nrows,
-        all_rows, cur_bits)`` -- a lane matrix of packed codes (one row
-        per wavefront state, from ``kernel.pack_code_matrix``), the row
-        count, the full row bitset and the bitset of rows whose current
-        output is 1 -- and returns the bitset of rows whose *next*
-        output is 1.  Row ``i`` always agrees with
-        :meth:`compiled_evaluator` on code ``i``.
-        """
-        test = self.lane_test(space)
-        if test is not None:
-            mask, value, flip = test
-
-            def match_eval(kernel, code_rows, nrows, all_rows, cur_bits):
-                hit = kernel.match_rows(code_rows, mask, value, nrows)
-                return all_rows ^ hit if flip else hit
-
-            return match_eval
-        if self.kind == GateKind.COMPLEX:
-            compiled = self.function.compiled(space)
-
-            def complex_eval(kernel, code_rows, nrows, all_rows, cur_bits):
-                return compiled.covered_rows(code_rows, nrows, kernel)
-
-            return complex_eval
-        # C / RS: two-input latches over effective values
-        (s_sig, s_pol), (r_sig, r_pol) = self.inputs
-        s_bit = 1 << space.position[s_sig]
-        r_bit = 1 << space.position[r_sig]
-        s_val = s_bit if s_pol else 0
-        r_val = r_bit if r_pol else 0
-        if self.kind == GateKind.C:
-
-            def c_eval(kernel, code_rows, nrows, all_rows, cur_bits):
-                s_rows = kernel.match_rows(code_rows, s_bit, s_val, nrows)
-                r_rows = kernel.match_rows(code_rows, r_bit, r_val, nrows)
-                return (s_rows & r_rows) | (cur_bits & (s_rows ^ r_rows))
-
-            return c_eval
-        if self.kind == GateKind.RS:
-
-            def rs_eval(kernel, code_rows, nrows, all_rows, cur_bits):
-                s_rows = kernel.match_rows(code_rows, s_bit, s_val, nrows)
-                r_rows = kernel.match_rows(code_rows, r_bit, r_val, nrows)
-                hold = all_rows ^ (s_rows ^ r_rows)
-                return (s_rows & (all_rows ^ r_rows)) | (cur_bits & hold)
-
-            return rs_eval
-        raise AssertionError(f"unknown gate kind {self.kind}")  # pragma: no cover
-
     def rs_illegal_test(self, space: SignalSpace) -> Optional[Tuple[int, int]]:
         """Packed form of :meth:`rs_illegal`: S = R = 1 iff
         ``packed & mask == value``.  ``None`` for non-RS gates and for RS

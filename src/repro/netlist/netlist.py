@@ -48,7 +48,6 @@ class NetlistPlan:
         "items",
         "rs_checks",
         "input_bits",
-        "_lane_items",
     )
 
     def __init__(self, netlist: "Netlist", space: Optional[SignalSpace] = None):
@@ -76,24 +75,6 @@ class NetlistPlan:
         self.input_bits: Dict[str, int] = {
             name: 1 << space.position[name] for name in netlist.inputs
         }
-        self._lane_items: Optional[Tuple[Tuple[str, int, object], ...]] = None
-
-    def lane_items(self) -> Tuple[Tuple[str, int, object], ...]:
-        """``(name, output bit, batch evaluator)`` per gate, lazily built.
-
-        The evaluators come from
-        :meth:`repro.netlist.gates.Gate.lane_evaluator` and score a
-        whole wavefront of packed codes per call; order matches
-        :attr:`items` (gate insertion order), which the batched BFS
-        relies on for arc-order parity with the scalar path.
-        """
-        if self._lane_items is None:
-            space = self.space
-            self._lane_items = tuple(
-                (name, 1 << space.position[name], gate.lane_evaluator(space))
-                for name, gate in self.netlist.gates.items()
-            )
-        return self._lane_items
 
     def pack(self, values: Dict[str, int]) -> int:
         return self.space.pack(values)

@@ -37,15 +37,21 @@ or as a decorator::
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional
 
 
 class PerfRecorder:
-    """Accumulates per-phase wall times and named counters."""
+    """Accumulates per-phase wall times and named counters.
 
-    __slots__ = ("phases", "phase_calls", "counters")
+    Updates are serialised by one lock: ``analyze_mc(jobs=N)`` worker
+    threads report into the same recorder concurrently, and an unlocked
+    read-modify-write of a shared dict loses updates.
+    """
+
+    __slots__ = ("phases", "phase_calls", "counters", "_lock")
 
     def __init__(self) -> None:
         #: phase name -> total wall seconds (re-entrant phases accumulate)
@@ -54,14 +60,17 @@ class PerfRecorder:
         self.phase_calls: Dict[str, int] = {}
         #: counter name -> running total
         self.counters: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def add_phase(self, name: str, seconds: float) -> None:
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
-        self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
+        with self._lock:
+            self.phases[name] = self.phases.get(name, 0.0) + seconds
+            self.phase_calls[name] = self.phase_calls.get(name, 0) + 1
 
     def increment(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def reset(self) -> None:
         self.phases.clear()

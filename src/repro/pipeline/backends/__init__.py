@@ -15,11 +15,6 @@ implementations are registered out of the box:
   no code with the fast path; exists so differential verification can
   run the *same* pipeline twice with different backends and diff the
   typed artifacts claim for claim.
-* ``wordlane`` -- the word-parallel uint64 lane engine
-  (:mod:`repro.sg.wordlane` over the kernels of :mod:`repro.sg.lanes`):
-  the bitengine's bulk primitives lowered to whole-frontier array
-  operations, numpy-accelerated when the ``fast`` extra is installed and
-  bit-for-bit identical through the pure-python kernel when not.
 
 Backends are selected by name (``get_backend("reference")``) so callers
 -- the CLI, the bench suite, the verify campaigns -- never fork their
@@ -107,11 +102,9 @@ def get_backend(backend: Union[str, AnalysisBackend, None]) -> AnalysisBackend:
 def _register_builtins() -> None:
     from repro.pipeline.backends.bitengine import BitengineBackend
     from repro.pipeline.backends.reference import ReferenceBackend
-    from repro.pipeline.backends.wordlane import WordlaneBackend
 
     register_backend("bitengine", BitengineBackend)
     register_backend("reference", ReferenceBackend)
-    register_backend("wordlane", WordlaneBackend)
 
 
 _register_builtins()

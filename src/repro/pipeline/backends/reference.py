@@ -427,7 +427,6 @@ class ReferenceBackend:
         return "<AnalysisBackend reference>"
 
 
-#: the public surface forwarded by the :mod:`repro.verify.reference` shim
 __all__ = [
     "ReferenceBackend",
     "analyze_mc_reference",

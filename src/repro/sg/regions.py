@@ -71,13 +71,6 @@ def _bfs_order(sg: StateGraph) -> Dict[State, int]:
     cached = sg._analysis_cache.get("bfs_order")
     if cached is not None:
         return cached
-    # the word-lane engine computes the identical order with one global
-    # arc sort; plain BitEngine graphs take the per-state path below
-    lowered = getattr(sg._analysis_cache.get("bitengine"), "bfs_order", None)
-    if lowered is not None:
-        order = lowered()
-        sg._analysis_cache["bfs_order"] = order
-        return order
     order = {sg.initial: 0}
     queue = [sg.initial]
     head = 0
@@ -116,11 +109,6 @@ def excitation_regions(sg: StateGraph, signal: str) -> List[ExcitationRegion]:
         return cached
     with perf.phase("regions"):
         engine = bit_analysis(sg)
-        lowered = getattr(engine, "excitation_regions_lowered", None)
-        if lowered is not None:  # word-lane engine: lazy discovery order
-            regions = lowered(sg, signal)
-            sg._analysis_cache[("regions", signal)] = regions
-            return regions
         position = sg.signal_position(signal)
         discovery = _bfs_order(sg)
         excited_all = engine.excited_bits(signal)
@@ -176,11 +164,6 @@ def quiescent_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
     if cached is not None:
         return cached
     engine = bit_analysis(sg)
-    lowered = getattr(engine, "qr_bits_lowered", None)
-    if lowered is not None:  # word-lane engine: bitset-only pipeline
-        frozen = engine.states_of(lowered(er))
-        sg._analysis_cache[("qr", er)] = frozen
-        return frozen
     members = engine.region_bits(("er", er), er.states)
     succ = engine.succ_bits
     reach = 0
@@ -215,13 +198,7 @@ def constant_function_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[
     """CFR(*a_i) = ER(*a_i) u QR(*a_i) (Definition 7).  Cached per graph."""
     cached = sg._analysis_cache.get(("cfr", er))
     if cached is None:
-        lowered = getattr(
-            sg._analysis_cache.get("bitengine"), "cfr_states", None
-        )
-        if lowered is not None:  # word-lane engine: one bitset union
-            cached = lowered(er)
-        else:
-            cached = er.states | quiescent_region(sg, er)
+        cached = er.states | quiescent_region(sg, er)
         sg._analysis_cache[("cfr", er)] = cached
     return cached
 
@@ -230,9 +207,6 @@ def minimal_states(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
     """States of the region with no predecessor inside it (Definition 8)."""
     engine = bit_analysis(sg)
     er_bits = engine.region_bits(("er", er), er.states)
-    lowered = getattr(engine, "minimal_bits", None)
-    if lowered is not None:  # word-lane engine: one gathered row test
-        return engine.states_of(lowered(er_bits))
     pred = engine.pred_bits
     minima = 0
     members = er_bits
@@ -246,11 +220,6 @@ def minimal_states(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
 
 def has_unique_entry(sg: StateGraph, er: ExcitationRegion) -> bool:
     """The unique entry condition (Definition 9)."""
-    lowered = getattr(
-        sg._analysis_cache.get("bitengine"), "unique_entry_lowered", None
-    )
-    if lowered is not None:  # word-lane engine: popcount on bitsets
-        return lowered(er)
     return len(minimal_states(sg, er)) == 1
 
 
@@ -293,15 +262,11 @@ def ordered_signals(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[str]:
         return cached
     engine = bit_analysis(sg)
     er_bits = engine.region_bits(("er", er), er.states)
-    lowered = getattr(engine, "ordered_signals_lowered", None)
-    if lowered is not None:  # word-lane engine: direct table reads
-        result = lowered(er_bits)
-    else:
-        result = frozenset(
-            signal
-            for signal in sg.signals
-            if not engine.excited_bits(signal) & er_bits
-        )
+    result = frozenset(
+        signal
+        for signal in sg.signals
+        if not engine.excited_bits(signal) & er_bits
+    )
     sg._analysis_cache[("ordered", er)] = result
     return result
 
@@ -330,11 +295,6 @@ def excited_value_sets(sg: StateGraph, signal: str) -> Dict[str, FrozenSet[State
     cached = sg._analysis_cache.get(("evs", signal))
     if cached is not None:
         return cached
-    lowered = getattr(sg._analysis_cache.get("bitengine"), "value_sets", None)
-    if lowered is not None:  # word-lane engine: three cached bitsets
-        result = lowered(signal)
-        sg._analysis_cache[("evs", signal)] = result
-        return result
     position = sg.signal_position(signal)
     zero_stable, zero_excited, one_stable, one_excited = set(), set(), set(), set()
     for state in sg.states:

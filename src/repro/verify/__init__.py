@@ -18,11 +18,8 @@ Three pillars, none imported by the synthesis pipeline itself:
   circuit-level verdicts.
 
 The pure dict-based reference analysis itself lives at
-:mod:`repro.pipeline.backends.reference`; its old names under
-``repro.verify`` keep working through a deprecation forwarder.
+:mod:`repro.pipeline.backends.reference`.
 """
-
-import warnings as _warnings
 
 from repro.verify.budget import Budget, BudgetExceeded
 from repro.verify.differential import (
@@ -79,23 +76,3 @@ __all__ = [
     "ternary_cube",
 ]
 
-
-def __getattr__(name):
-    """Forward the reference-analysis names that used to live here.
-
-    Kept generic on purpose: the moved surface is whatever
-    :mod:`repro.pipeline.backends.reference` exports, and each access
-    warns once so callers migrate to the ``reference`` backend.
-    """
-    from repro.pipeline.backends import reference as _reference
-
-    if name in _reference.__all__:
-        _warnings.warn(
-            f"repro.verify.{name} is deprecated; the reference analysis "
-            "moved to repro.pipeline.backends.reference (registered as "
-            "the 'reference' analysis backend)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -135,9 +135,9 @@ def diff_state_graph(
     """Run both analysis paths over one state graph and diff the claims.
 
     ``backend`` names the fast path's engine (``"bitengine"`` by
-    default, ``"wordlane"`` for the lane engine); the reference path is
-    always the retained dictionary semantics, so every registered fast
-    engine is diffed against the same independent baseline.
+    default); the reference path is always the retained dictionary
+    semantics, so every registered engine is diffed against the same
+    independent baseline.
 
     ``reference_sg`` may be a *separate* elaboration of the same
     specification so the two paths share no per-graph caches; it
@@ -349,8 +349,7 @@ def differential_campaign(
     """Sweep ``count`` randomized specifications through the oracle.
 
     ``backend`` selects the fast path diffed against the reference
-    semantics (any name registered with
-    :mod:`repro.pipeline.backends`, e.g. ``"wordlane"``).
+    semantics (any name registered with :mod:`repro.pipeline.backends`).
 
     The design source, in priority order: explicit ``specs`` (an
     iterable of ``(name, stg)`` pairs); a ``corpus``

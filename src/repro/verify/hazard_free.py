@@ -238,7 +238,7 @@ def demorgan_check(
 
     Works entirely on the literal-dict form of the synthesized covers
     and the state graph's codes/excitations — independent of the
-    bitengine/wordlane derivation path by construction.
+    bitengine derivation path by construction.
     """
     sg = impl.sg
     report = DeMorganReport(name=sg.name)

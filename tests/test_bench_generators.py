@@ -1,18 +1,12 @@
 """Tests for the parameterised specification generators.
 
-The families themselves now live in :mod:`repro.corpus.families`; this
-module keeps importing the classic trio through the deprecated
-``repro.bench.generators`` shim on purpose, so the forwarding path
-stays exercised alongside the generators it forwards to.
+The families live in :mod:`repro.corpus.families`; these tests pin the
+classic trio's shapes and their behaviour through the synthesis flow.
 """
-
-import warnings
 
 import pytest
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.bench.generators import alternator, concurrent_fork, token_ring
+from repro.corpus import alternator, concurrent_fork, token_ring
 from repro.core.mc import analyze_mc
 from repro.sg.csc import has_csc
 from repro.sg.properties import is_output_semi_modular
@@ -133,35 +127,3 @@ class TestSeriesParallel:
         assert len(result.added_signals) == 2
         assert result.hazard_free
 
-
-class TestDeprecatedShim:
-    """``repro.bench.generators`` forwards to ``repro.corpus`` with a warning."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "token_ring",
-            "concurrent_fork",
-            "alternator",
-            "random_series_parallel",
-            "fuzz_specs",
-        ],
-    )
-    def test_forwarded_names_warn_and_match(self, name):
-        import repro.bench.generators as shim
-        import repro.corpus as corpus
-
-        with pytest.warns(DeprecationWarning, match=f"{name} is deprecated"):
-            forwarded = getattr(shim, name)
-        assert forwarded is getattr(corpus, name)
-
-    def test_unknown_name_raises(self):
-        import repro.bench.generators as shim
-
-        with pytest.raises(AttributeError):
-            shim.no_such_generator
-
-    def test_dir_lists_forwarded_names(self):
-        import repro.bench.generators as shim
-
-        assert {"token_ring", "fuzz_specs"} <= set(dir(shim))

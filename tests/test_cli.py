@@ -254,3 +254,49 @@ class TestVerifyOracle:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", spec("nowick.g"), "--oracle", "psychic"])
         assert excinfo.value.code == 2
+
+
+class TestCliBackendChoices:
+    def test_unknown_backend_exits_2_listing_names(self, capsys):
+        from repro.pipeline.backends import available_backends
+
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", "--backend", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for name in available_backends():
+            assert name in err
+
+    def test_every_verb_offers_the_registered_backends(self):
+        from repro.cli import build_parser
+        from repro.pipeline.backends import available_backends
+
+        parser = build_parser()
+        for command in ("info", "synth", "verify", "diff", "table1", "batch"):
+            sub = parser._subparsers._group_actions[0].choices[command]
+            backend_actions = [
+                action
+                for action in sub._actions
+                if "--backend" in action.option_strings
+            ]
+            assert backend_actions, command
+            assert list(backend_actions[0].choices) == available_backends()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Every CLI start pays only for the dependency-free core."""
+    import subprocess
+    import sys
+
+    script = "import sys, repro.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+        ),
+    )
+    assert result.stdout.strip() == "False"

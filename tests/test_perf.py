@@ -94,3 +94,41 @@ def test_cli_verify_profile_prints_phases_and_counts(capsys):
     assert "profile:" in out
     assert "hazard-check" in out
     assert "cube.evaluations" in out
+
+
+def test_increment_is_exact_under_thread_contention():
+    import sys
+    import threading
+
+    recorder = perf.PerfRecorder()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(
+                target=lambda: [recorder.increment("x") for _ in range(50_000)]
+            )
+            for _ in range(8)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(previous)
+    assert recorder.counters["x"] == 8 * 50_000
+
+
+def test_analyze_mc_counters_independent_of_jobs():
+    from repro.core.mc import analyze_mc
+    from repro.corpus import concurrent_fork
+    from repro.stg.reachability import stg_to_state_graph
+
+    counters = []
+    for jobs in (None, 4):
+        sg = stg_to_state_graph(concurrent_fork(5))  # fresh analysis caches
+        with perf.recording(perf.PerfRecorder()) as recorder:
+            analyze_mc(sg, jobs=jobs)
+        counters.append(recorder.counters)
+    assert counters[0]
+    assert counters[0] == counters[1]

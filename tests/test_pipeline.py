@@ -1,8 +1,4 @@
-"""The staged pipeline: stages, memoization, backends, budgets, shims."""
-
-import importlib
-import sys
-import warnings
+"""The staged pipeline: stages, memoization, backends, budgets, wrappers."""
 
 import pytest
 
@@ -30,7 +26,7 @@ pytestmark = pytest.mark.smoke
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_both_builtins_registered(self):
-        assert list(available_backends()) == ["bitengine", "reference", "wordlane"]
+        assert list(available_backends()) == ["bitengine", "reference"]
 
     def test_get_backend_by_name_and_default(self):
         assert get_backend(None).name == "bitengine"
@@ -293,7 +289,7 @@ class TestJsonRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Wrappers and deprecation shims
+# Wrappers and the package surface
 # ----------------------------------------------------------------------
 class TestCompatSurface:
     def test_wrapper_output_shape_unchanged(self, component_result):
@@ -308,24 +304,6 @@ class TestCompatSurface:
         second = run_pipeline("delement", context=context)
         assert first.row == second.row
         assert context.cache_hits_by_stage["covers"] >= 1
-
-    def test_old_reference_module_warns_once_and_forwards(self):
-        sys.modules.pop("repro.verify.reference", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.verify.reference")
-        assert [w for w in caught if w.category is DeprecationWarning]
-        assert callable(module.analyze_mc_reference)
-
-    def test_verify_package_getattr_warns_and_forwards(self, fig3):
-        import repro.verify as verify
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            forwarded = verify.analyze_mc_reference
-        assert [w for w in caught if w.category is DeprecationWarning]
-        report = forwarded(fig3)
-        assert report.satisfied
 
     def test_verify_package_getattr_unknown_name(self):
         import repro.verify as verify

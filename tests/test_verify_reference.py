@@ -68,43 +68,3 @@ class TestSelectedCubes:
         }
         assert fast_cubes == ref_cubes
 
-
-class TestDeprecatedShim:
-    """The repro.verify.reference alias forwards faithfully and warns once."""
-
-    def test_warns_exactly_once_per_process(self):
-        # a subprocess gives a clean import state: this process may have
-        # imported the shim already (warnings fire at import time only)
-        import subprocess
-        import sys
-
-        script = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.verify.reference\n"
-            "    import importlib\n"
-            "    importlib.import_module('repro.verify.reference')\n"
-            "deprecations = [w for w in caught\n"
-            "                if issubclass(w.category, DeprecationWarning)\n"
-            "                and 'repro.verify.reference' in str(w.message)]\n"
-            "print(len(deprecations))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout.strip() == "1"
-
-    def test_all_and_docstring_forwarded(self):
-        import repro.pipeline.backends.reference as real
-        import repro.verify.reference as shim
-
-        assert shim.__all__ == real.__all__
-        for name in real.__all__:
-            assert getattr(shim, name) is getattr(real, name)
-        assert "deprecated" in shim.__doc__.lower()
-        # the real module's docstring rides along after the notice
-        assert real.__doc__.strip().splitlines()[0] in shim.__doc__
