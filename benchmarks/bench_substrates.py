@@ -2,7 +2,7 @@
 
 The paper notes its naive Boolean-program solving could be sped up "by
 several orders of magnitude"; these measurements document where the
-substrate time goes in this implementation: the DPLL solver, the
+substrate time goes in this implementation: the CDCL solver, the
 two-level minimiser, BDD construction, and state-graph elaboration.
 """
 

@@ -7,7 +7,7 @@ Subcommands mirror the library pipeline::
     repro-si verify spec.g        # synthesise and model-check (exit code)
     repro-si simulate spec.g      # Monte-Carlo random-delay simulation
     repro-si diff                 # differential oracle sweep (CI gate)
-    repro-si table1               # regenerate the paper's Table 1
+    repro-si table1               # the paper's Table 1 (exit 1 on a mismatch)
     repro-si batch *.g            # corpus synthesis over a process pool
     repro-si batch --corpus c.json  # ... over a generated design stream
     repro-si serve                # resident HTTP job server (asyncio)
@@ -592,7 +592,29 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.json:
         path = write_pipeline_json(results, args.json)
         print(f"pipeline metrics written to {path}", file=sys.stderr)
-    return 0
+    problems = _table1_problems(results, verify=not args.no_verify)
+    for problem in problems:
+        print(f"repro-si: table1: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _table1_problems(results, verify: bool) -> List[str]:
+    """Rows that break the paper's Table 1: a different number of added
+    signals, or (when ``verify``) a circuit that is not speed-independent."""
+    from repro.bench.suite import paper_row
+
+    problems = []
+    for result in results:
+        paper_added = paper_row(result.name)[2]
+        if result.added_signals != paper_added:
+            problems.append(
+                f"{result.name} adds {result.added_signals} signal(s), "
+                f"the paper {paper_added}"
+            )
+        report = result.hazard_report
+        if verify and (report is None or not report.hazard_free):
+            problems.append(f"{result.name} is not speed-independent")
+    return problems
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -919,7 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-states", type=int, default=500_000)
     p_check.set_defaults(func=cmd_check)
 
-    p_table = sub.add_parser("table1", help="regenerate the paper's Table 1")
+    p_table = sub.add_parser(
+        "table1",
+        help="regenerate the paper's Table 1 (exit 1 if a row differs from it)",
+    )
     p_table.add_argument("designs", nargs="*", help="subset of designs")
     p_table.add_argument("--no-verify", action="store_true")
     p_table.add_argument(

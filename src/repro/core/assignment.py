@@ -41,7 +41,7 @@ and friends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
@@ -96,7 +96,11 @@ class LabelEncoding:
         self.sg = sg
         self.cnf = CNF()
         self._vars: Dict[Tuple[State, str], int] = {}
-        for state in sorted(sg.states, key=str):
+        #: canonical state order for every clause built over all states:
+        #: the first two literals of a clause choose its watches, so set
+        #: order must not steer the search
+        self.states: List[State] = sorted(sg.states, key=str)
+        for state in self.states:
             group = []
             for label in LABELS:
                 variable = self.cnf.var(("label", state, label))
@@ -125,9 +129,8 @@ class LabelEncoding:
                         )
 
     def _add_switching_rule(self) -> None:
-        states = sorted(self.sg.states, key=str)
-        self.cnf.at_least_one([self.var(s, "U") for s in states])
-        self.cnf.at_least_one([self.var(s, "D") for s in states])
+        self.cnf.at_least_one([self.var(s, "U") for s in self.states])
+        self.cnf.at_least_one([self.var(s, "D") for s in self.states])
 
     # ------------------------------------------------------------------
     # Constraint helpers for the insertion engine
@@ -159,8 +162,12 @@ class LabelEncoding:
         self.cnf.add(selector, self.var(second, "1"))
 
     def forbid_model(self, labelling: Dict[State, str]) -> None:
-        """Block one complete labelling from future solves."""
-        self.cnf.forbid([self.var(s, l) for s, l in labelling.items()])
+        """Block one complete labelling from future solves.
+
+        The clause lists the states in canonical order, whatever the
+        order of ``labelling``.
+        """
+        self.cnf.forbid([self.var(s, labelling[s]) for s in self.states])
 
     # ------------------------------------------------------------------
     def solve(
@@ -184,7 +191,7 @@ class LabelEncoding:
         if model is None:
             return None
         labelling: Dict[State, str] = {}
-        for state in self.sg.states:
+        for state in self.states:
             for label in LABELS:
                 if model[self.var(state, label)]:
                     labelling[state] = label

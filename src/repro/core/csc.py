@@ -81,9 +81,9 @@ def _csc_candidates(sg: StateGraph, conflicts, per_set_budget: int = 30):
                     break
                 produced += 1
                 partition = {s: int(model[var[s]]) for s in states}
-                # incremental blocking clause: the solver re-prepares its
-                # watch state lazily, so the model sequence matches a
-                # fresh Solver.from_cnf per query exactly
+                # incremental blocking clause: the solver keeps its learnt
+                # clauses and phases, so the next model comes from where
+                # this one was found
                 solver.add_clause(
                     [-var[s] if partition[s] else var[s] for s in states]
                 )

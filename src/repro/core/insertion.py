@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import perf
 from repro.core.assignment import LabelEncoding, lifted_phases, phases
@@ -319,26 +319,21 @@ def _new_input_conflicts(original: StateGraph, expanded: StateGraph) -> bool:
     return False
 
 
-def add_alias_entry_constraints(
-    encoding: LabelEncoding, sg: StateGraph
-) -> int:
-    """Require the new signal to split same-code entries of region families.
+def alias_entry_pairs(sg: StateGraph) -> List[Tuple[State, State]]:
+    """Same-code entry states of sibling regions of one excitation function.
 
     When one excitation function has several regions whose minimal
     (entry) states carry identical codes -- the multi-occurrence pattern
     of the duplicator-style controllers -- no cube can tell the
     occurrences apart, and repairing one region just moves the violation
-    to its sibling.  Pinning every same-code entry pair to *opposite
-    stable values* of the inserted signal makes one insertion settle the
-    whole family.  Returns the number of pairs constrained (the caller
-    drops these constraints when they make the round unsatisfiable).
+    to its sibling.
     """
     from repro.sg.regions import all_excitation_regions, minimal_states
 
     families: Dict[Tuple[str, int], List] = {}
     for er in all_excitation_regions(sg, only_non_inputs=True):
         families.setdefault((er.signal, er.direction), []).append(er)
-    pairs = 0
+    pairs = []
     for regions in families.values():
         if len(regions) < 2:
             continue
@@ -350,9 +345,24 @@ def add_alias_entry_constraints(
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
                 if sg.code(entries[i]) == sg.code(entries[j]):
-                    encoding.require_distinct_values(entries[i], entries[j])
-                    pairs += 1
+                    pairs.append((entries[i], entries[j]))
     return pairs
+
+
+def add_alias_entry_constraints(
+    encoding: LabelEncoding, sg: StateGraph
+) -> int:
+    """Require the new signal to split same-code entries of region families.
+
+    Pinning every :func:`alias_entry_pairs` pair to *opposite stable
+    values* of the inserted signal makes one insertion settle the whole
+    family.  Returns the number of pairs constrained (the caller drops
+    these constraints when they make the round unsatisfiable).
+    """
+    pairs = alias_entry_pairs(sg)
+    for first, second in pairs:
+        encoding.require_distinct_values(first, second)
+    return len(pairs)
 
 
 def labelling_from_partition(
@@ -485,9 +495,9 @@ def _partition_candidates(
                         break
                     produced += 1
                     partition = {s: int(model[var[s]]) for s in states}
-                    # incremental blocking clause: lazy re-preparation
-                    # keeps the model sequence identical to rebuilding
-                    # the solver per query
+                    # incremental blocking clause: the solver keeps its
+                    # learnt clauses and phases, so the next model comes
+                    # from where this one was found
                     solver.add_clause(
                         [-var[s] if partition[s] else var[s] for s in states]
                     )
@@ -502,20 +512,8 @@ def _candidate_labellings(
     per_set_budget: int = 20,
     deadline: Optional[float] = None,
 ):
-    """Yield labellings from progressively weaker constraint sets.
-
-    Schedule (strongest first):
-
-    * cover *all* failed regions, then shrinking prefixes of the list
-      (regions left out get repaired in later rounds);
-    * per subset, both orientations of the new signal;
-    * per orientation, increasing switching-cardinality tiers -- at most
-      1, 2, 3, then unboundedly many U states (and likewise D states).
-      Small tiers strongly bias the search towards the paper-style
-      insertions with one rise region and few fall regions.
-    """
-    from itertools import product
-
+    """Yield labellings: partition-derived ones first, then the
+    :func:`_candidate_encodings` round-robin (:func:`_round_robin`)."""
     # High-quality partition-derived candidates first.
     emitted = set()
     for labelling in _partition_candidates(sg, report, deadline=deadline):
@@ -523,56 +521,82 @@ def _candidate_labellings(
         if key not in emitted:
             emitted.add(key)
             yield labelling
+    yield from _round_robin(
+        _candidate_encodings(sg, report, deadline), per_set_budget, deadline
+    )
+
+
+def _candidate_encodings(
+    sg: StateGraph, report: MCReport, deadline: Optional[float] = None
+) -> Iterator[LabelEncoding]:
+    """Encodings of progressively weaker constraint sets, built on demand.
+
+    Schedule (strongest first):
+
+    * cover *all* failed regions, then each single region (letting later
+      rounds finish the job), then the intermediate prefixes;
+    * per subset, both orientations of the new signal;
+    * per orientation, with and then without the alias-entry constraints
+      (only when the graph has alias pairs);
+    * per variant, increasing switching-cardinality tiers -- at most 1,
+      2, then unboundedly many U states (and likewise D states).  Small
+      tiers strongly bias the search towards the paper-style insertions
+      with one rise region and few fall regions.
+    """
+    from itertools import product
 
     failed = report.failed
     states = sorted(sg.states, key=str)
     tiers = [1, 2, None]
-    # Constraint sets, strongest intent first: the full failed set, then
-    # each single region (letting later rounds finish the job), then the
-    # intermediate prefixes.
     subsets: List[List[RegionVerdict]] = []
     if len(failed) > 1:
         subsets.append(list(failed))
     subsets += [[verdict] for verdict in failed]
     subsets += [failed[:count] for count in range(len(failed) - 1, 1, -1)]
+    alias_variants = (True, False) if alias_entry_pairs(sg) else (False,)
 
-    def build_sets():
-        for subset in subsets:
-            count = len(subset)
-            if count <= 3:
-                combos = list(product((1, 0), repeat=count))
-            else:
-                combos = [(1,) * count, (0,) * count]
-            for combo in combos:
-                for with_alias in (True, False):
-                    for tier in tiers:
-                        if _deadline_expired(deadline):
-                            return
-                        encoding = LabelEncoding(sg)
-                        for verdict, orientation in zip(subset, combo):
-                            add_separation_constraints(
-                                encoding, sg, verdict, orientation
-                            )
-                        if (
-                            with_alias
-                            and add_alias_entry_constraints(encoding, sg) == 0
-                        ):
-                            continue  # identical to the with_alias=False pass
-                        if tier is not None:
-                            encoding.cnf.at_most_k(
-                                [encoding.var(s, "U") for s in states], tier
-                            )
-                            encoding.cnf.at_most_k(
-                                [encoding.var(s, "D") for s in states], tier
-                            )
-                        yield encoding
+    for subset in subsets:
+        count = len(subset)
+        if count <= 3:
+            combos = list(product((1, 0), repeat=count))
+        else:
+            combos = [(1,) * count, (0,) * count]
+        for combo in combos:
+            for with_alias in alias_variants:
+                for tier in tiers:
+                    if _deadline_expired(deadline):
+                        return
+                    encoding = LabelEncoding(sg)
+                    for verdict, orientation in zip(subset, combo):
+                        add_separation_constraints(encoding, sg, verdict, orientation)
+                    if with_alias:
+                        add_alias_entry_constraints(encoding, sg)
+                    if tier is not None:
+                        encoding.cnf.at_most_k(
+                            [encoding.var(s, "U") for s in states], tier
+                        )
+                        encoding.cnf.at_most_k(
+                            [encoding.var(s, "D") for s in states], tier
+                        )
+                    yield encoding
 
-    # Round-robin across the sets: one model from each live set per
-    # sweep, so early exhaustive sets cannot starve the later ones.
+
+def _round_robin(
+    encodings: Iterable[LabelEncoding],
+    per_set_budget: int,
+    deadline: Optional[float] = None,
+):
+    """One model from each live encoding per sweep, so early exhaustive
+    sets cannot starve the later ones.
+
+    The first sweep pulls ``encodings`` one at a time, so an encoding is
+    built only when it is about to be solved; a consumer that stops
+    early never pays for the rest.
+    """
     from repro.sat.solver import SolverTimeout
 
-    live = [[encoding, 0] for encoding in build_sets()]
-    while live:
+    live: Iterable[List] = ([encoding, 0] for encoding in encodings)
+    while True:
         still_live = []
         for entry in live:
             if _deadline_expired(deadline):
@@ -589,6 +613,8 @@ def _candidate_labellings(
             entry[1] = produced + 1
             if entry[1] < per_set_budget:
                 still_live.append(entry)
+        if not still_live:
+            return
         live = still_live
 
 

@@ -28,7 +28,7 @@ state sets, MC diagnostics, cover ordering and degenerate flags are all
 preserved exactly.  Cubes inside stage payloads are stored in the
 compiled IR form -- a ``[mask, value]`` big-int pair resolved against
 the embedded state graph's signal order (store envelope
-``repro-artifact-store/3``, which also carries the per-signal and
+``repro-artifact-store/4``, which also carries the per-signal and
 per-function fingerprints backing delta re-synthesis; older envelopes
 are no longer read, old entries degrade to counted misses).  The only intentionally detached piece is the hazard
 report inside a loaded ``SynthesizedNetlist`` (the final stage -- no

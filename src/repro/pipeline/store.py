@@ -14,15 +14,19 @@ One entry per ``(stage, memo-key)`` pair::
 Each entry is a JSON envelope stamped with a schema version and the key
 it answers for::
 
-    {"schema": "repro-artifact-store/3", "stage": "mc",
+    {"schema": "repro-artifact-store/4", "stage": "mc",
      "key": ["'<fp>'", "'bitengine'"], "artifact": {...}}
 
-Envelope ``/3`` adds per-signal region fingerprints and per-function MC
-fingerprints to the ``regions``/``mc`` payloads (delta re-synthesis
-hints); ``/2`` stored cubes in the compiled IR form (``[mask, value]``
-big-int pairs against the embedded graph's signal order).  Older
-envelopes are not migrated -- the schema check degrades them to counted
-``corrupt`` misses and they are rewritten on the next put.
+Envelope ``/4`` keeps the ``/3`` payloads.  It was bumped because
+``/3`` ``covers`` entries hold insertion results found by the earlier
+DPLL SAT solver, and the CDCL solver may pick a different circuit for
+the same spec.  ``/3`` added per-signal region fingerprints and
+per-function MC fingerprints to the ``regions``/``mc`` payloads (delta
+re-synthesis hints); ``/2`` stored cubes in the compiled IR form
+(``[mask, value]`` big-int pairs against the embedded graph's signal
+order).  Older envelopes are not migrated -- the schema check degrades
+them to counted ``corrupt`` misses and they are rewritten on the next
+put.
 
 The store is **content-addressed**: the digest is computed over the
 ``repr`` of every key component, and the memo keys chain upstream
@@ -66,7 +70,7 @@ from repro.pipeline.serialize import (
 
 #: envelope schema stamp; bump on any incompatible payload change (old
 #: entries then read as corrupt misses and are rewritten, never crash)
-STORE_SCHEMA = "repro-artifact-store/3"
+STORE_SCHEMA = "repro-artifact-store/4"
 
 #: the store event vocabulary, in reporting order (the sharded
 #: composition in :mod:`repro.pipeline.shard` appends its own events)

@@ -6,10 +6,10 @@ satisfiability solvers".  This subpackage provides that substrate:
 
 * :class:`~repro.sat.cnf.CNF` -- a clause database with named variables
   and convenience encoders (at-least-one, at-most-one, implications),
-* :class:`~repro.sat.solver.Solver` -- a DPLL solver with two-literal
-  watching, unit propagation and a conflict-count activity heuristic,
-  supporting incremental solving under assumptions and solution blocking
-  (for model enumeration).
+* :class:`~repro.sat.solver.Solver` -- an incremental CDCL solver
+  (two-literal watching, 1-UIP clause learning, VSIDS branching, phase
+  saving) that keeps its learnt clauses across solves, supporting
+  assumptions and solution blocking (for model enumeration).
 """
 
 from repro.sat.cnf import CNF

@@ -86,6 +86,28 @@ class TestTable1:
         assert "delement" in out
         assert "luciano" in out
 
+    def test_added_signal_mismatch_exits_one(self, monkeypatch, capsys):
+        from repro.bench import suite
+
+        real = suite.paper_row
+
+        def off_by_one(name):
+            inputs, outputs, added = real(name)
+            return inputs, outputs, added + 1
+
+        monkeypatch.setattr(suite, "paper_row", off_by_one)
+        assert main(["table1", "delement", "--no-verify"]) == 1
+        err = capsys.readouterr().err
+        assert "delement adds 1 signal(s), the paper 2" in err
+
+    def test_si_failure_exits_one_unless_no_verify(self, monkeypatch, capsys):
+        from repro.netlist.hazards import HazardReport
+
+        monkeypatch.setattr(HazardReport, "hazard_free", property(lambda self: False))
+        assert main(["table1", "delement"]) == 1
+        assert "delement is not speed-independent" in capsys.readouterr().err
+        assert main(["table1", "delement", "--no-verify"]) == 0
+
 
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):

@@ -98,3 +98,19 @@ class TestEncoding:
         encoding.require_label("s0", ("0",))
         encoding.require_label("s0", ("1",))
         assert encoding.solve() is None
+
+    def test_blocking_clause_ignores_dict_order(self, toggle_sg):
+        """Equal labellings in different dict orders block with the same
+        clause: a clause's first literals choose its watches."""
+        encoding = LabelEncoding(toggle_sg)
+        labelling = encoding.solve()
+        reordered = dict(reversed(list(labelling.items())))
+        assert list(reordered) != list(labelling)
+        encoding.forbid_model(labelling)
+        encoding.forbid_model(reordered)
+        assert encoding.cnf.clauses[-1] == encoding.cnf.clauses[-2]
+
+    def test_decoded_labelling_follows_canonical_state_order(self, toggle_sg):
+        encoding = LabelEncoding(toggle_sg)
+        assert encoding.states == sorted(toggle_sg.states, key=str)
+        assert list(encoding.solve()) == encoding.states

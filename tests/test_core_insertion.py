@@ -165,3 +165,47 @@ class TestInsertion:
     def test_budget_exhaustion_raises(self, fig1):
         with pytest.raises(InsertionError):
             insert_state_signals(fig1, max_signals=0)
+
+
+class TestLazyCandidateEncodings:
+    @staticmethod
+    def spec_graph(name):
+        from repro.bench.suite import load_benchmark
+        from repro.stg.reachability import stg_to_state_graph
+
+        return stg_to_state_graph(load_benchmark(name))
+
+    def test_lazy_sequence_equals_eager(self):
+        """Building each encoding just before its first solve yields
+        nowick's first-round labellings in exactly the eager order."""
+        from repro.core.insertion import _candidate_encodings, _round_robin
+
+        sg = self.spec_graph("nowick")
+        report = analyze_mc(sg)
+        eager = list(_round_robin(list(_candidate_encodings(sg, report)), 20))
+        lazy = list(_round_robin(_candidate_encodings(sg, report), 20))
+        assert len(eager) > 100
+        assert [list(l.items()) for l in lazy] == [list(l.items()) for l in eager]
+
+    def test_every_built_encoding_is_solved(self, monkeypatch):
+        """berkel3 needs the encoding sweep (nowick stops at a partition
+        candidate); no encoding is built without being solved."""
+        from repro.core.assignment import LabelEncoding
+
+        built, solved = [], set()
+        real_init, real_solve = LabelEncoding.__init__, LabelEncoding.solve
+
+        def init(self, sg):
+            built.append(self)
+            real_init(self, sg)
+
+        def solve(self, *args, **kwargs):
+            solved.add(id(self))
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabelEncoding, "__init__", init)
+        monkeypatch.setattr(LabelEncoding, "solve", solve)
+        result = insert_state_signals(self.spec_graph("berkel3"))
+        assert result.satisfied
+        assert built
+        assert len(built) == len(solved)

@@ -132,3 +132,34 @@ def test_analyze_mc_counters_independent_of_jobs():
         counters.append(recorder.counters)
     assert counters[0]
     assert counters[0] == counters[1]
+
+
+def test_sat_search_counters_are_exact_and_once_per_solve(monkeypatch):
+    """Pigeonhole 4-into-3: the solver reports its whole search with one
+    ``perf.count`` call per counter per ``solve()``."""
+    from repro.sat.solver import Solver
+
+    def var(i, j):
+        return i * 3 + j + 1
+
+    clauses = [tuple(var(i, j) for j in range(3)) for i in range(4)]
+    for j in range(3):
+        for a in range(4):
+            for b in range(a + 1, 4):
+                clauses.append((-var(a, j), -var(b, j)))
+    calls = []
+    real_count = perf.count
+
+    def count(name, amount=1):
+        calls.append(name)
+        real_count(name, amount)
+
+    monkeypatch.setattr(perf, "count", count)
+    with perf.recording(perf.PerfRecorder()) as recorder:
+        assert Solver(12, clauses).solve() is None
+    assert recorder.counters == {
+        "sat.decisions": 9,
+        "sat.conflicts": 9,
+        "sat.learnt": 8,
+    }
+    assert sorted(calls) == ["sat.conflicts", "sat.decisions", "sat.learnt"]

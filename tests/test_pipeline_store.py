@@ -206,6 +206,23 @@ class TestArtifactStore:
         assert store.put("reach", key, artifacts["reach"])
         assert store.get("reach", key) is not None
 
+    def test_v3_envelope_is_counted_miss(self, tmp_path, artifacts):
+        """``/3`` entries may hold circuits found by the earlier DPLL
+        solver; they are corrupt misses, never served."""
+        from repro.pipeline.store import STORE_SCHEMA
+
+        assert STORE_SCHEMA == "repro-artifact-store/4"
+        store = ArtifactStore(str(tmp_path / "store"))
+        key = ("fp",)
+        store.put("reach", key, artifacts["reach"])
+        path = store.path_for("reach", key)
+        entry = json.load(open(path))
+        entry["schema"] = "repro-artifact-store/3"
+        json.dump(entry, open(path, "w"))
+        assert store.get("reach", key) is None
+        assert store.stats()["corrupt"] == {"reach": 1}
+        assert not os.path.exists(path)
+
     def test_key_mismatch_is_miss(self, tmp_path, artifacts):
         """A colliding/moved file never answers for the wrong key."""
         store = ArtifactStore(str(tmp_path / "store"))
