@@ -1,24 +1,22 @@
-"""Sharded batch orchestration: cold sweep vs resumed sweep.
+"""Batch orchestration: cold sweep vs resumed sweep.
 
 Runs one corpus -- the bundled Table-1 designs plus a few generated
-families -- through ``run_batch`` three ways:
+families -- through ``run_batch`` twice:
 
-* **flat cold**: single flat store, the determinism baseline;
-* **sharded cold**: fresh ``--shards``-partitioned store with a worker
-  pool, the distributed-sweep configuration;
-* **resumed**: the same sharded sweep resumed from the cold run's
-  manifest -- every design skips on its spec fingerprint, which is the
-  whole point of resumable manifests.
+* **cold**: a fresh store and a ``--jobs`` worker pool;
+* **resumed**: the same sweep resumed from the cold run's manifest --
+  every design skips on its spec fingerprint, which is the whole point
+  of resumable manifests.
 
-Byte-identity of all three manifests is asserted on every measurement
-(a fast resume that changed the answers would be meaningless), and the
+Byte-identity of the two manifests is asserted on every measurement (a
+fast resume that changed the answers would be meaningless), and the
 cold-vs-resumed wall-clock lands in the ``batch`` section of
 ``BENCH_pipeline.json``, gated by ``check_regression.py --sections
 batch`` (floor: resumed >= 5x faster than cold).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_batch.py [--shards 4] [--jobs 2]
+    PYTHONPATH=src python benchmarks/bench_batch.py [--jobs 2]
                                                     [--out BENCH_pipeline.json]
 """
 
@@ -61,7 +59,6 @@ def build_corpus(scratch: str) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--out", default="BENCH_pipeline.json",
@@ -73,34 +70,18 @@ def main(argv=None) -> int:
         specs = build_corpus(scratch)
         manifest = os.path.join(scratch, "manifest.json")
 
+        store = os.path.join(scratch, "store")
         started = time.perf_counter()
-        flat = run_batch(specs, store=os.path.join(scratch, "flat"))
-        flat_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        cold = run_batch(
-            specs,
-            store=os.path.join(scratch, "sharded"),
-            jobs=args.jobs,
-            shards=args.shards,
-        )
+        cold = run_batch(specs, store=store, jobs=args.jobs)
         cold_s = time.perf_counter() - started
         with open(manifest, "w", encoding="utf-8") as handle:
             handle.write(cold.manifest_text())
 
         started = time.perf_counter()
-        resumed = run_batch(
-            specs,
-            store=os.path.join(scratch, "sharded"),
-            jobs=args.jobs,
-            shards=args.shards,
-            resume=manifest,
-        )
+        resumed = run_batch(specs, store=store, jobs=args.jobs, resume=manifest)
         resumed_s = time.perf_counter() - started
 
-    identical = (
-        flat.manifest_text() == cold.manifest_text() == resumed.manifest_text()
-    )
+    identical = cold.manifest_text() == resumed.manifest_text()
     if not identical:
         print("bench_batch: FAIL: manifests are not byte-identical",
               file=sys.stderr)
@@ -112,23 +93,18 @@ def main(argv=None) -> int:
         return 1
 
     speedup = cold_s / resumed_s if resumed_s > 0 else float("inf")
-    print(f"corpus: {len(specs)} designs, shards={args.shards}, jobs={args.jobs}")
-    print(f"flat cold    : {flat_s * 1000:9.1f} ms")
-    print(f"sharded cold : {cold_s * 1000:9.1f} ms "
-          f"(steals {cold.stats()['scheduler']['steals']})")
-    print(f"resumed      : {resumed_s * 1000:9.1f} ms "
+    print(f"corpus: {len(specs)} designs, jobs={args.jobs}")
+    print(f"cold    : {cold_s * 1000:9.1f} ms")
+    print(f"resumed : {resumed_s * 1000:9.1f} ms "
           f"({skips} resume-skips, {speedup:.0f}x)")
 
     payload = {
         "designs": len(specs),
-        "shards": args.shards,
         "jobs": args.jobs,
-        "flat_cold_ms": round(flat_s * 1000, 1),
         "cold_ms": round(cold_s * 1000, 1),
         "resumed_ms": round(resumed_s * 1000, 3),
         "resumed_speedup": round(speedup, 1),
         "resume_skips": skips,
-        "steals": cold.stats()["scheduler"]["steals"],
         "manifests_identical": identical,
     }
     path = update_pipeline_json("batch", payload, args.out)

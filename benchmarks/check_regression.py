@@ -258,7 +258,7 @@ def check_batch(section: dict, floor: float) -> tuple:
     The resumed speedup is recomputed from the recorded wall-clocks
     (not trusted from the rounded field) and must clear the absolute
     floor; the bench also records whether every design resume-skipped
-    and whether the three manifests were byte-identical, and a
+    and whether the two manifests were byte-identical, and a
     recording that says otherwise fails outright.
     """
     try:
@@ -279,8 +279,7 @@ def check_batch(section: dict, floor: float) -> tuple:
     verdict = "ok" if speedup >= floor else "REGRESSED"
     message = (
         f"batch: cold {cold_ms:.0f}ms, resumed {resumed_ms:.1f}ms over "
-        f"{section.get('designs', '?')} designs / "
-        f"{section.get('shards', '?')} shards -> {speedup:.0f}x resumed "
+        f"{section.get('designs', '?')} designs -> {speedup:.0f}x resumed "
         f"speedup (floor {floor:.0f}x): {verdict}"
     )
     return speedup >= floor, message

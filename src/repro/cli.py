@@ -75,13 +75,13 @@ def _load(path: str, max_states: int = 1_000_000):
 
 
 def parse_jobs(text: str) -> int:
-    """argparse type for ``--jobs`` (and ``--shards``): positive int.
+    """argparse type for ``--jobs`` (and ``--workers``): positive int.
 
     The one shared validator for every verb that fans out (``info``,
     ``synth``, ``verify``, ``diff``, ``table1``, ``batch``) and for the
-    shard counts of ``batch``/``serve``: rejecting 0/negative values
-    loudly (usage error, exit 2) replaces the old behaviour where
-    non-positive job counts silently ran serial.
+    worker count of ``serve``: rejecting 0/negative values loudly
+    (usage error, exit 2) replaces the old behaviour where non-positive
+    job counts silently ran serial.
     """
     try:
         value = int(text)
@@ -148,45 +148,6 @@ def validated_store(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def validated_shards(store: Optional[str], shards: Optional[int]) -> Optional[int]:
-    """Reject ``--shards`` contradicting an existing sharded layout.
-
-    The mismatch is detected inside :class:`ShardedStore` anyway, but
-    from a worker it surfaces as a mid-run traceback; checking the
-    recorded layout up front turns it into a usage error (exit 2).
-    """
-    if store is None or shards is None:
-        return shards
-    from repro.pipeline.shard import detect_layout
-
-    recorded = detect_layout(store)
-    if recorded is not None and recorded != shards:
-        raise CliError(
-            f"--shards {shards} contradicts the store at {store!r}, "
-            f"which is laid out with {recorded} shard(s); reuse the "
-            f"recorded count or start a fresh store root"
-        )
-    return shards
-
-
-def validated_remote(path: Optional[str]) -> Optional[str]:
-    """Validate a ``--remote-store`` read-through tier up front.
-
-    The remote tier is pre-warmed by some earlier sweep; a missing or
-    non-directory path would silently degrade every lookup to a local
-    miss, so it is a usage error (exit 2) instead.
-    """
-    if path is None:
-        return None
-    import os
-
-    if not os.path.isdir(path):
-        raise CliError(
-            f"--remote-store path {path!r} is not an existing directory"
-        )
-    return path
-
-
 def _start_profile(args: argparse.Namespace) -> Optional[perf.PerfRecorder]:
     """Install a perf recorder when the subcommand got ``--profile``."""
     return perf.enable() if getattr(args, "profile", False) else None
@@ -205,7 +166,6 @@ def _finish_profile(recorder: Optional[perf.PerfRecorder], context=None) -> None
 
 def _store_traffic_report(store) -> str:
     """Per-stage artifact-store traffic lines for ``--profile`` output."""
-    from repro.pipeline.shard import SHARD_EVENTS
     from repro.pipeline.store import EVENTS
 
     lines = ["artifact store traffic:"]
@@ -214,7 +174,7 @@ def _store_traffic_report(store) -> str:
     if not stages:
         lines.append("  (no store traffic)")
         return "\n".join(lines)
-    events = [e for e in EVENTS + SHARD_EVENTS if stats.get(e)]
+    events = [e for e in EVENTS if stats.get(e)]
     for stage in stages:
         parts = ", ".join(
             f"{event} {stats[event][stage]}"
@@ -678,9 +638,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             max_models=args.max_models,
             max_states=args.max_states,
             timeout_seconds=args.timeout_seconds,
-            shards=validated_shards(store, args.shards),
-            remote_store=validated_remote(args.remote_store),
-            max_put_rate=args.store_put_rate,
             resume=args.resume,
             progress=stream,
             corpus=corpus,
@@ -713,13 +670,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the resident synthesis job server (see docs/API.md)."""
     from repro.service.server import serve
 
-    store = validated_store(args.store)
     return serve(
         host=args.host,
         port=args.port,
-        store=store,
-        shards=validated_shards(store, args.shards),
-        remote_store=validated_remote(args.remote_store),
+        store=validated_store(args.store),
         backend=args.backend,
         workers=args.workers,
         tenant_tokens=args.tenant_tokens,
@@ -1017,21 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         "inconclusive, the batch continues)",
     )
     p_batch.add_argument(
-        "--shards", type=parse_jobs, default=None, metavar="N",
-        help="partition --store into N shard directories (key-space "
-        "sharding; workers get shard-affine queues with work stealing)",
-    )
-    p_batch.add_argument(
-        "--remote-store", default=None, metavar="DIR",
-        help="read-through tier consulted on local miss (a pre-warmed "
-        "store root, flat or sharded; hits are promoted locally)",
-    )
-    p_batch.add_argument(
-        "--store-put-rate", type=float, default=None, metavar="N",
-        help="per-shard put backpressure: drop store writes beyond N "
-        "puts/second (counted under 'throttle'; safe, it is a cache)",
-    )
-    p_batch.add_argument(
         "--resume", metavar="FILE",
         help="previous manifest (and/or its .journal sidecar): designs "
         "with matching spec fingerprints are reused without running",
@@ -1044,8 +983,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--stats", metavar="FILE",
-        help="write run stats (timings, store traffic, scheduler "
-        "steal/resume counters) here",
+        help="write run stats (timings, store traffic, resume "
+        "counters) here",
     )
     p_batch.set_defaults(func=cmd_batch)
 
@@ -1062,15 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help="persistent artifact store shared by every request "
         "(validated up front; a bad path is a usage error)",
-    )
-    p_serve.add_argument(
-        "--shards", type=parse_jobs, default=None, metavar="N",
-        help="serve over a sharded store root (N shard directories; "
-        "an existing sharded layout is autodetected without this flag)",
-    )
-    p_serve.add_argument(
-        "--remote-store", default=None, metavar="DIR",
-        help="read-through tier consulted on local store miss",
     )
     _add_backend_option(p_serve)
     p_serve.add_argument(

@@ -17,12 +17,9 @@ campaigns) is a :class:`Pipeline` run over a shared
   result artifacts and the faithful stage-artifact codecs;
 * :mod:`repro.pipeline.store` -- the content-addressed persistent
   artifact store backing :class:`AnalysisContext` memo caches on disk;
-* :mod:`repro.pipeline.shard` -- the key-space sharded composition of
-  that store (``--shards``), with a remote read-through tier and
-  put-rate backpressure;
 * :mod:`repro.pipeline.batch` -- corpus-level batch synthesis over a
-  shared store (``repro-si batch``), resumable via manifests/journals
-  and scheduled over shard-affine work-stealing queues.
+  shared store (``repro-si batch``) on a process pool, resumable via
+  manifests/journals.
 
 Quick start::
 
@@ -50,7 +47,6 @@ from repro.pipeline.backends import (
 from repro.pipeline.batch import BatchReport, DesignOutcome, run_batch
 from repro.pipeline.context import AnalysisContext
 from repro.pipeline.core import STAGES, Pipeline, PipelineSpec
-from repro.pipeline.shard import ShardedStore, open_store
 from repro.pipeline.store import ArtifactStore
 
 __all__ = [
@@ -66,11 +62,9 @@ __all__ = [
     "ReachedSG",
     "RegionMap",
     "STAGES",
-    "ShardedStore",
     "SynthesizedNetlist",
     "available_backends",
     "get_backend",
-    "open_store",
     "register_backend",
     "run_batch",
 ]

@@ -7,27 +7,25 @@ is either a list of ``.g`` files or a :class:`repro.corpus.CorpusSpec`
 (``run_batch(corpus=...)`` / ``repro-si batch --corpus spec.json``)
 whose admitted designs are *streamed* into the scheduler with a
 bounded prefetch -- a 100k-design sweep never materialises 100k task
-dicts, let alone 100k files.  All workers share one store root -- flat
-(:class:`~repro.pipeline.store.ArtifactStore`) or sharded
-(:class:`~repro.pipeline.shard.ShardedStore`, ``--shards``) -- so a
-repeated sweep -- the second CI invocation, a bench re-run, an edited
-corpus -- recomputes only the designs whose specifications changed.
+dicts, let alone 100k files.  All workers share one
+:class:`~repro.pipeline.store.ArtifactStore` root, so a repeated sweep
+-- the second CI invocation, a bench re-run, an edited corpus --
+recomputes only the designs whose specifications changed.
 
 Determinism contract
 --------------------
 The **manifest** (:meth:`BatchReport.manifest`, schema
-``repro-batch-manifest/2``) contains only reproducible facts -- an
+``repro-batch-manifest/3``) contains only reproducible facts -- an
 options echo with its fingerprint, then per design: name, verdict,
-state counts, equations, pipeline fingerprint, specification
-fingerprint and shard key -- ordered by design name.  The shard key is
-derived from the *specification content* (first byte of its SHA-256),
-never from runtime placement, so a sharded run, a flat run and a
-resumed run over the same corpus all emit byte-identical manifests; CI
-asserts exactly that.  Corpus-backed rows identify their source as
+state counts, equations, pipeline fingerprint and specification
+fingerprint -- ordered by design name.  Nothing in it depends on
+runtime placement, so serial, pooled, warm-store and resumed runs over
+the same corpus all emit byte-identical manifests; CI asserts exactly
+that.  Corpus-backed rows identify their source as
 ``corpus:<design name>`` and fingerprint the generated ``.g`` text
 itself, so the same spec + seed reproduces the same manifest bytes on
-any machine.  Wall-clock timings, store traffic and scheduler
-counters are deliberately kept apart in :meth:`BatchReport.stats`.
+any machine.  Wall-clock timings, store traffic and the resume counter
+are deliberately kept apart in :meth:`BatchReport.stats`.
 
 Resumption
 ----------
@@ -40,12 +38,10 @@ raises :class:`ResumeError` instead of silently re-running everything.
 
 Scheduling
 ----------
-``jobs > 1`` fans designs across a ``ProcessPoolExecutor`` through
-shard-affine queues: each worker slot drains the queue of "its" shard
-(clustering store I/O per shard directory) and **steals** from the
-longest queue when its own runs dry, so stragglers never idle the
-pool.  ``steals`` / ``resume_skips`` land in the stats sidecar and the
-perf counters (``batch-steal`` / ``batch-resume-skip``).
+``jobs > 1`` fans designs across a ``ProcessPoolExecutor`` with at most
+:data:`PREFETCH_PER_JOB` ``* jobs`` designs in flight; ``jobs == 1``
+runs inline.  ``resume_skips`` lands in the stats sidecar and the perf
+counter ``batch-resume-skip``.
 
 Per-design failures never abort the batch: a malformed file, a blown
 budget or a synthesis error each become one manifest row with
@@ -61,6 +57,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -68,7 +65,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Union,
@@ -76,7 +72,6 @@ from typing import (
 
 from repro import perf
 from repro.pipeline.serialize import fingerprint_document, fingerprint_file
-from repro.pipeline.shard import SHARD_EVENTS
 from repro.pipeline.store import EVENTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,12 +83,17 @@ EXIT_OK = 0
 EXIT_HAZARD = 1
 EXIT_INCONCLUSIVE = 3
 
-#: manifest schema stamp (see :meth:`BatchReport.manifest`); ``/2``
-#: added the options echo and per-design ``spec_fingerprint``/``shard``
-MANIFEST_SCHEMA = "repro-batch-manifest/2"
+#: manifest schema stamp (see :meth:`BatchReport.manifest`); ``/3``
+#: dropped the per-row routing key that ``/2`` rows carried
+MANIFEST_SCHEMA = "repro-batch-manifest/3"
 
-#: journal schema stamp (one NDJSON row per completed design)
-JOURNAL_SCHEMA = "repro-batch-journal/1"
+#: journal schema stamp (one NDJSON row per completed design); ``/2``
+#: rows are ``/3`` manifest rows
+JOURNAL_SCHEMA = "repro-batch-journal/2"
+
+#: designs in flight per worker process: the pool draws a lazy corpus
+#: stream at most ``PREFETCH_PER_JOB * jobs`` designs ahead
+PREFETCH_PER_JOB = 4
 
 #: suffix appended to the manifest path for the resume journal
 JOURNAL_SUFFIX = ".journal"
@@ -122,8 +122,8 @@ def batch_options(
     """The manifest's options echo: every knob that shapes a row.
 
     ``backend`` is included because the netlist fingerprint chain
-    contains the backend name; ``jobs``, ``shards`` and the store root
-    are deliberately absent -- they are placement facts that must not
+    contains the backend name; ``jobs`` and the store root are
+    deliberately absent -- they are placement facts that must not
     change the manifest bytes.
     """
     return {
@@ -143,16 +143,6 @@ def _stamped_options(options: Dict) -> Dict:
     stamped = dict(bare)
     stamped["fingerprint"] = fingerprint_document(bare)
     return stamped
-
-
-def _spec_shard(spec_fingerprint: str) -> str:
-    """The design's shard key: first byte of its spec fingerprint.
-
-    Store-independent by construction (pure function of the ``.g``
-    file's bytes), so manifests agree across flat, sharded and resumed
-    runs.  Unreadable specs get an empty key.
-    """
-    return spec_fingerprint[:2] if spec_fingerprint else ""
 
 
 @dataclass
@@ -175,8 +165,6 @@ class DesignOutcome:
     fingerprint: str = ""
     #: SHA-256 of the specification file's bytes (resume staleness test)
     spec_fingerprint: str = ""
-    #: content-derived shard key (see :func:`_spec_shard`)
-    shard: str = ""
     #: True when this row was reused from a resume source (stats only)
     resumed: bool = False
     #: wall seconds in the worker (stats only, never in the manifest)
@@ -185,8 +173,6 @@ class DesignOutcome:
     store_traffic: Dict[str, int] = field(default_factory=dict)
     #: per-stage breakdown, event -> {stage: count} (stats only)
     store_traffic_by_stage: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: per-shard breakdown, shard -> {event: count} (stats only)
-    store_traffic_by_shard: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -209,7 +195,6 @@ class DesignOutcome:
             "circuit_states": self.circuit_states,
             "fingerprint": self.fingerprint,
             "spec_fingerprint": self.spec_fingerprint,
-            "shard": self.shard,
         }
 
     def describe(self) -> str:
@@ -232,9 +217,7 @@ class BatchReport:
     backend: Optional[str] = None
     #: the options echo (see :func:`batch_options`); defaulted lazily
     options: Dict = field(default_factory=dict)
-    #: shard count of the store root (None for a flat store)
-    shards: Optional[int] = None
-    #: scheduler counters: affine dispatches, steals, resume skips
+    #: scheduler counters: resume skips
     scheduler: Dict[str, int] = field(default_factory=dict)
     #: the generation seed for corpus-backed runs (None for file input);
     #: recorded in :meth:`stats`, never in the manifest
@@ -270,9 +253,8 @@ class BatchReport:
 
     def stats(self) -> Dict:
         """Run metadata: timings, store traffic, scheduler counters."""
-        traffic: Dict[str, int] = {e: 0 for e in EVENTS + SHARD_EVENTS}
+        traffic: Dict[str, int] = {e: 0 for e in EVENTS}
         by_stage: Dict[str, Dict[str, int]] = {}
-        by_shard: Dict[str, Dict[str, int]] = {}
         for outcome in self.outcomes:
             for event, count in outcome.store_traffic.items():
                 traffic[event] = traffic.get(event, 0) + count
@@ -280,11 +262,7 @@ class BatchReport:
                 bucket = by_stage.setdefault(event, {})
                 for stage, count in stages.items():
                     bucket[stage] = bucket.get(stage, 0) + count
-            for shard, events in outcome.store_traffic_by_shard.items():
-                bucket = by_shard.setdefault(shard, {})
-                for event, count in events.items():
-                    bucket[event] = bucket.get(event, 0) + count
-        scheduler = {"affine": 0, "steals": 0, "resume_skips": 0}
+        scheduler = {"resume_skips": 0}
         scheduler.update(self.scheduler)
         return {
             "designs": len(self.outcomes),
@@ -292,7 +270,6 @@ class BatchReport:
             "seed": self.seed,
             "backend": self.backend or "bitengine",
             "store": self.store_root,
-            "shards": self.shards,
             "scheduler": scheduler,
             "resumed_designs": sorted(
                 o.name for o in self.outcomes if o.resumed
@@ -306,7 +283,6 @@ class BatchReport:
             "store_traffic_by_design": {
                 o.name: dict(o.store_traffic) for o in self.outcomes
             },
-            "store_traffic_by_shard": by_shard,
         }
 
     def describe(self) -> str:
@@ -485,7 +461,6 @@ def _outcome_from_row(row: Dict, spec: str, spec_fingerprint: str) -> DesignOutc
         circuit_states=row.get("circuit_states", 0),
         fingerprint=row.get("fingerprint", ""),
         spec_fingerprint=spec_fingerprint,
-        shard=_spec_shard(spec_fingerprint),
         resumed=True,
     )
 
@@ -495,21 +470,6 @@ def _outcome_from_row(row: Dict, spec: str, spec_fingerprint: str) -> DesignOutc
 # ----------------------------------------------------------------------
 def _design_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
-
-
-def _open_task_store(task: Dict):
-    """The worker's store handle (flat or sharded), or ``None``."""
-    root = task.get("store_root")
-    if root is None:
-        return None
-    from repro.pipeline.shard import open_store
-
-    return open_store(
-        root,
-        shards=task.get("store_shards"),
-        remote=task.get("remote_root"),
-        max_put_rate=task.get("max_put_rate"),
-    )
 
 
 def _run_design(task: Dict) -> Dict:
@@ -541,18 +501,16 @@ def _run_design(task: Dict) -> Dict:
         "circuit_states": 0,
         "fingerprint": "",
         "spec_fingerprint": task.get("spec_fingerprint", ""),
-        "shard": task.get("shard", ""),
         "resumed": False,
         "seconds": 0.0,
         "store_traffic": {},
         "store_traffic_by_stage": {},
-        "store_traffic_by_shard": {},
     }
     budget = Budget(
         max_states=task["max_states"], max_seconds=task["timeout_seconds"]
     )
     context = AnalysisContext(
-        backend=task["backend"], budget=budget, store=_open_task_store(task)
+        backend=task["backend"], budget=budget, store=task["store_root"]
     )
     try:
         try:
@@ -621,8 +579,6 @@ def _run_design(task: Dict) -> Dict:
         if context.store is not None:
             outcome["store_traffic"] = context.store.totals()
             outcome["store_traffic_by_stage"] = context.store.stats()
-            if hasattr(context.store, "shard_totals"):
-                outcome["store_traffic_by_shard"] = context.store.shard_totals()
 
 
 def _conflict_count(report) -> int:
@@ -646,97 +602,45 @@ def _truncated_without_witness(report) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The work-stealing scheduler
+# The process pool
 # ----------------------------------------------------------------------
-def _queue_index(task: Dict, queues: int) -> int:
-    shard = task.get("shard") or ""
-    try:
-        return int(shard, 16) % queues
-    except ValueError:
-        return 0
-
-
-def _run_scheduled(
-    tasks: Iterable[Dict],
-    jobs: int,
-    shards: Optional[int],
-    scheduler: Dict[str, int],
-    collect: Callable[[Dict], None],
+def _run_pool(
+    tasks: Iterable[Dict], jobs: int, collect: Callable[[Dict], None]
 ) -> None:
-    """Run ``tasks`` over shard-affine queues with work stealing.
+    """Run ``tasks`` through :func:`_run_design`, collecting each result.
 
-    With a sharded store there is one queue per shard (clustering each
-    worker's I/O in one shard directory); otherwise a single queue.  A
-    freed worker slot pops its home queue first and steals from the
-    longest queue when its own is dry -- counted under ``steals``.
-
-    ``tasks`` may be a lazy iterator (corpus streaming): the queues are
-    topped up to a bounded prefetch window as slots free, so an
-    arbitrarily long stream costs O(jobs) buffered tasks, not O(corpus).
+    ``jobs == 1`` (or a stream of one design) runs inline.  Otherwise a
+    process pool keeps at most ``PREFETCH_PER_JOB * jobs`` designs in
+    flight and draws the next task only as one completes, so a lazy
+    stream of any length costs O(jobs) buffered tasks.  Results reach
+    ``collect`` in completion order.
     """
     task_iter: Iterator[Dict] = iter(tasks)
     if jobs == 1:
         for task in task_iter:
-            scheduler["affine"] += 1
             collect(_run_design(task))
         return
-    queue_count = shards if shards and shards > 1 else 1
-    queues: List[List[Dict]] = [[] for _ in range(queue_count)]
-    prefetch = max(4 * jobs, 2 * queue_count)
-    exhausted = False
-
-    def refill() -> None:
-        nonlocal exhausted
-        while not exhausted and sum(len(q) for q in queues) < prefetch:
-            try:
-                task = next(task_iter)
-            except StopIteration:
-                exhausted = True
-                return
-            queues[_queue_index(task, queue_count)].append(task)
-
-    refill()
-    buffered = sum(len(q) for q in queues)
-    if buffered == 0:
+    head = list(islice(task_iter, PREFETCH_PER_JOB * jobs))
+    if len(head) <= 1:
+        for task in head:
+            collect(_run_design(task))
         return
-    if buffered == 1 and exhausted:
-        scheduler["affine"] += 1
-        collect(_run_design(next(q for q in queues if q).pop(0)))
-        return
-    # prefetch >= 4 * jobs, so a post-refill buffer below ``jobs`` means
-    # the stream is already exhausted and the pool can size to it
-    slots = min(jobs, buffered)
-    with ProcessPoolExecutor(max_workers=slots) as pool:
-        running: Dict = {}
-
-        def launch(slot: int) -> bool:
-            refill()
-            home = slot % queue_count
-            queue = queues[home]
-            stolen = False
-            if not queue:
-                donor = max(range(queue_count), key=lambda i: len(queues[i]))
-                queue = queues[donor]
-                if not queue:
-                    return False
-                stolen = donor != home
-            task = queue.pop(0)
-            running[pool.submit(_run_design, task)] = slot
-            if stolen:
-                scheduler["steals"] += 1
-                perf.count("batch-steal")
-            else:
-                scheduler["affine"] += 1
-            return True
-
-        for slot in range(slots):
-            launch(slot)
+    # a head shorter than the window means the stream is exhausted, so
+    # the pool can size to it
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(head)))
+    try:
+        running = {pool.submit(_run_design, task) for task in head}
         while running:
-            done, _ = wait(set(running), return_when=FIRST_COMPLETED)
+            done, running = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                slot = running.pop(future)
                 collect(future.result())
-                launch(slot)
+                task = next(task_iter, None)
+                if task is not None:
+                    running.add(pool.submit(_run_design, task))
+    finally:
+        # an interrupted sweep waits for the designs already running,
+        # not for the whole window
+        pool.shutdown(cancel_futures=True)
 
 
 def run_batch(
@@ -750,10 +654,7 @@ def run_batch(
     max_models: int = 400,
     max_states: Optional[int] = None,
     timeout_seconds: Optional[float] = None,
-    shards: Optional[int] = None,
-    remote_store: Union[str, None] = None,
-    max_put_rate: Optional[float] = None,
-    resume: Union[str, Mapping, None] = None,
+    resume: Optional[str] = None,
     progress: Optional[Callable[[DesignOutcome], None]] = None,
     corpus: Optional["CorpusSpec"] = None,
 ) -> BatchReport:
@@ -763,13 +664,10 @@ def run_batch(
     ``timeout_seconds`` / ``max_states`` bound each design *separately*
     (a blown budget marks that design inconclusive, the batch goes on).
     ``jobs`` > 1 fans designs across a :class:`ProcessPoolExecutor`;
-    ``store`` (a directory path) is shared by all workers, partitioned
-    into ``shards`` shard directories when given (with ``remote_store``
-    as an optional read-through tier and ``max_put_rate`` as per-shard
-    put backpressure).  ``resume`` names a previous manifest (or passes
-    its loaded rows): designs whose spec fingerprint matches a recorded
-    row are reused without running; an unusable resume source raises
-    :class:`ResumeError`.  ``progress`` is called with each
+    ``store`` (a directory path) is shared by all workers.  ``resume``
+    names a previous manifest (see :func:`resume_plan`): designs whose
+    spec fingerprint matches a recorded row are reused without running;
+    an unusable resume source raises :class:`ResumeError`.  ``progress`` is called with each
     :class:`DesignOutcome` as it completes, in completion order
     (resumed rows first).
 
@@ -785,8 +683,6 @@ def run_batch(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be a positive integer, got {shards}")
     if corpus is not None and specs:
         raise ValueError("give .g specifications or corpus=, not both")
     if corpus is None and not specs:
@@ -802,13 +698,9 @@ def run_batch(
     )
     reusable: Optional[Dict[str, Dict]] = None
     if resume is not None:
-        reusable = (
-            dict(resume)
-            if isinstance(resume, Mapping)
-            else resume_plan(str(resume), options)
-        )
+        reusable = resume_plan(str(resume), options)
 
-    scheduler = {"affine": 0, "steals": 0, "resume_skips": 0}
+    scheduler = {"resume_skips": 0}
     outcomes: List[DesignOutcome] = []
     overlap = {"count": 0}
 
@@ -824,9 +716,6 @@ def run_batch(
         """The task-dict fields shared by every design of this run."""
         return {
             "store_root": None if store is None else str(store),
-            "store_shards": shards,
-            "remote_root": None if remote_store is None else str(remote_store),
-            "max_put_rate": max_put_rate,
             "backend": backend,
             "style": style,
             "share_gates": share_gates,
@@ -875,11 +764,10 @@ def run_batch(
                     name=design.name,
                     spec_text=design.g_text,
                     spec_fingerprint=design.fingerprint,
-                    shard=_spec_shard(design.fingerprint),
                 )
                 yield task
 
-        _run_scheduled(corpus_tasks(), jobs, shards, scheduler, collect)
+        _run_pool(corpus_tasks(), jobs, collect)
         if reusable is not None and not scheduler["resume_skips"]:
             raise no_overlap_error()
         return BatchReport(
@@ -888,7 +776,6 @@ def run_batch(
             store_root=None if store is None else str(store),
             backend=backend,
             options=options,
-            shards=shards,
             scheduler=scheduler,
             seed=corpus.seed,
         )
@@ -901,24 +788,18 @@ def run_batch(
         if reuse(name, path, spec_fp):
             continue
         task = placement()
-        task.update(
-            spec=path,
-            spec_fingerprint=spec_fp,
-            shard=_spec_shard(spec_fp),
-        )
+        task.update(spec=path, spec_fingerprint=spec_fp)
         tasks.append(task)
     if reusable is not None and not scheduler["resume_skips"]:
         raise no_overlap_error()
 
-    if tasks:
-        _run_scheduled(tasks, jobs, shards, scheduler, collect)
+    _run_pool(tasks, jobs, collect)
     return BatchReport(
         outcomes=outcomes,
         jobs=jobs,
         store_root=None if store is None else str(store),
         backend=backend,
         options=options,
-        shards=shards,
         scheduler=scheduler,
     )
 
@@ -930,6 +811,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JOURNAL_SUFFIX",
     "MANIFEST_SCHEMA",
+    "PREFETCH_PER_JOB",
     "ResumeError",
     "batch_options",
     "resume_plan",

@@ -72,10 +72,8 @@ from repro.pipeline.serialize import (
 #: entries then read as corrupt misses and are rewritten, never crash)
 STORE_SCHEMA = "repro-artifact-store/4"
 
-#: the store event vocabulary, in reporting order (the sharded
-#: composition in :mod:`repro.pipeline.shard` appends its own events)
+#: the store event vocabulary, in reporting order
 EVENTS = ("hit", "miss", "corrupt", "put", "skip", "evict")
-_EVENTS = EVENTS  # backwards-compatible alias
 
 
 class ArtifactStore:
@@ -95,7 +93,7 @@ class ArtifactStore:
         self.root = str(root)
         self.max_entries = max_entries
         #: event -> stage -> count (see ``stats()``)
-        self._counters: Dict[str, Dict[str, int]] = {e: {} for e in _EVENTS}
+        self._counters: Dict[str, Dict[str, int]] = {e: {} for e in EVENTS}
 
     # ------------------------------------------------------------------
     # Addressing
@@ -106,12 +104,7 @@ class ArtifactStore:
 
     @classmethod
     def entry_digest(cls, stage: str, key: Tuple) -> str:
-        """The content digest addressing ``(stage, key)``.
-
-        This is the file basename of the entry and also the routing key
-        of the sharded composition (:mod:`repro.pipeline.shard`), so it
-        must stay stable across store layouts.
-        """
+        """The content digest addressing ``(stage, key)`` (file basename)."""
         hasher = hashlib.sha256()
         for part in cls._key_reprs(stage, key):
             hasher.update(part.encode("utf-8"))

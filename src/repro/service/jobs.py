@@ -554,11 +554,6 @@ def run_job(kind: str, params: Dict, context, emit) -> Dict:
     }
 
 
-def _thread_job(kind: str, params: Dict, context, emit) -> Dict:
-    """Thread-executor body: live event streaming via the recorder."""
-    return run_job(kind, params, context, emit)
-
-
 def _process_job(task: Dict) -> Dict:
     """Process-pool worker body (picklable I/O, run_batch's model).
 
@@ -572,19 +567,10 @@ def _process_job(task: Dict) -> Dict:
     budget = Budget(
         max_states=task["max_states"], max_seconds=task["max_seconds"]
     )
-    store = task["store_root"]
-    if store is not None:
-        from repro.pipeline.shard import open_store
-
-        store = open_store(
-            store,
-            shards=task.get("store_shards"),
-            remote=task.get("remote_root"),
-        )
     context = AnalysisContext(
         backend=task["backend"],
         budget=budget,
-        store=store,
+        store=task["store_root"],
         recorder=StreamRecorder(events.append),
     )
     outcome = run_job(task["kind"], task["params"], context, events.append)
@@ -637,8 +623,6 @@ class JobManager:
     def __init__(
         self,
         store: Optional[str] = None,
-        shards: Optional[int] = None,
-        remote_store: Optional[str] = None,
         backend: Optional[str] = None,
         workers: int = 1,
         tenant_tokens: float = DEFAULT_TENANT_TOKENS,
@@ -660,19 +644,11 @@ class JobManager:
         #: warmth through the store directory.
         self.mode = "thread" if workers == 1 else "process"
         self.store_root = None if store is None else str(store)
-        self.shards = shards
-        self.remote_store = None if remote_store is None else str(remote_store)
-        if self.store_root is None and (shards or remote_store):
-            raise ValueError("shards/remote_store need a store root")
         self.store = None
         if self.store_root is not None:
-            # flat or sharded, autodetected -- one server can sit on the
-            # root a ``repro-si batch --shards`` sweep warmed
-            from repro.pipeline.shard import open_store
+            from repro.pipeline.store import ArtifactStore
 
-            self.store = open_store(
-                self.store_root, shards=shards, remote=self.remote_store
-            )
+            self.store = ArtifactStore(self.store_root)
         self.tenant_tokens = float(tenant_tokens)
         self.tenant_refill = float(tenant_refill)
         self.job_max_states = job_max_states
@@ -803,13 +779,7 @@ class JobManager:
             "memo_entries": len(self._memo),
             "store": None if self.store is None else {
                 "root": self.store.root,
-                "shards": getattr(self.store, "shards", None),
                 "traffic": self.store.totals(),
-                "traffic_by_shard": (
-                    self.store.shard_totals()
-                    if hasattr(self.store, "shard_totals")
-                    else None
-                ),
             },
             "tenants": {
                 tenant: round(bucket.available(), 1)
@@ -907,7 +877,7 @@ class JobManager:
             # by earlier jobs replay in later delta jobs
             context._incremental = self._incremental
             outcome = await self._loop.run_in_executor(
-                self._pool, _thread_job, job.kind, job.params, context, emit
+                self._pool, run_job, job.kind, job.params, context, emit
             )
         else:
             task = {
@@ -915,8 +885,6 @@ class JobManager:
                 "params": job.params,
                 "backend": job.params.get("backend") or self.backend,
                 "store_root": self.store_root,
-                "store_shards": self.shards,
-                "remote_root": self.remote_store,
                 "max_states": state_cap,
                 "max_seconds": max_seconds,
             }

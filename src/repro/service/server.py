@@ -463,8 +463,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     store: Optional[str] = None,
-    shards: Optional[int] = None,
-    remote_store: Optional[str] = None,
     backend: Optional[str] = None,
     workers: int = 1,
     tenant_tokens: float = jobs_mod.DEFAULT_TENANT_TOKENS,
@@ -481,9 +479,6 @@ def serve(
     Returns the process exit code: 0 for a clean drain (no pending
     jobs), 1 when jobs leaked past the drain.  ``port 0`` binds an
     ephemeral port; ``port_file`` publishes the bound port for scripts.
-    ``shards``/``remote_store`` open the store root through the sharded
-    composition (:mod:`repro.pipeline.shard`), so one server can sit on
-    the same sharded root a ``repro-si batch --shards`` sweep warmed.
     SIGINT/SIGTERM trigger the same graceful drain as ``POST
     /v1/shutdown``.
     """
@@ -491,8 +486,6 @@ def serve(
     async def _amain() -> int:
         manager = JobManager(
             store=store,
-            shards=shards,
-            remote_store=remote_store,
             backend=backend,
             workers=workers,
             tenant_tokens=tenant_tokens,

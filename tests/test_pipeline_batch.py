@@ -1,4 +1,4 @@
-"""Batch orchestration (`repro-si batch`): manifests, resume, sharding."""
+"""Batch orchestration (`repro-si batch`): manifests, resume, process pool."""
 
 import json
 import os
@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.pipeline.batch import (
     JOURNAL_SUFFIX,
     MANIFEST_SCHEMA,
+    PREFETCH_PER_JOB,
     BatchJournal,
     ResumeError,
     batch_options,
@@ -127,38 +128,43 @@ class TestBatchCli:
 
 
 # ----------------------------------------------------------------------
-# Sharded batch: placement-independent manifests, stealing scheduler
+# The process pool: bounded prefetch, placement-free stats
 # ----------------------------------------------------------------------
-class TestShardedBatch:
-    def test_sharded_manifest_matches_flat_byte_for_byte(self, tmp_path):
-        flat = run_batch(SPECS, store=str(tmp_path / "flat"))
-        sharded = run_batch(
-            SPECS, store=str(tmp_path / "sh"), jobs=2, shards=4
-        )
-        assert sharded.manifest_text() == flat.manifest_text()
-        for entry in sharded.manifest()["designs"]:
-            assert entry["spec_fingerprint"]
-            assert entry["shard"] == entry["spec_fingerprint"][:2]
+class TestProcessPool:
+    def test_corpus_stream_drawn_within_prefetch_window(self, monkeypatch):
+        import repro.corpus.factory as factory
 
-    def test_scheduler_counters_cover_every_dispatch(self, tmp_path):
-        report = run_batch(SPECS, store=str(tmp_path / "s"), jobs=2, shards=4)
-        scheduler = report.stats()["scheduler"]
-        assert scheduler["affine"] + scheduler["steals"] == len(SPECS)
-        assert scheduler["resume_skips"] == 0
+        jobs = 2
+        window = PREFETCH_PER_JOB * jobs
+        spec = _fast_corpus(count=window + 4)
+        pulled = []
+        ahead = []
+        real_stream = factory.corpus_stream
 
-    def test_stats_sidecar_has_shard_and_traffic_sections(self, tmp_path):
-        report = run_batch(SPECS, store=str(tmp_path / "s"), shards=2)
+        def counting_stream(corpus):
+            for design in real_stream(corpus):
+                pulled.append(design.name)
+                yield design
+
+        def progress(outcome):
+            # designs drawn but not yet completed, counted before this one
+            ahead.append(len(pulled) - len(ahead))
+
+        monkeypatch.setattr(factory, "corpus_stream", counting_stream)
+        report = run_batch(corpus=spec, jobs=jobs, progress=progress)
+        assert len(report.outcomes) == len(pulled) == spec.count
+        assert max(ahead) <= window
+        # the window is really used: the pool ran ahead of completions
+        assert max(ahead) > jobs
+
+    def test_stats_sidecar_sections(self, tmp_path):
+        report = run_batch(SPECS, store=str(tmp_path / "s"), jobs=2)
         stats = report.stats()
-        assert stats["shards"] == 2
+        assert stats["scheduler"] == {"resume_skips": 0}
         assert "evict" in stats["store_traffic"]
-        assert set(stats["store_traffic_by_shard"]) <= {"shard-00", "shard-01"}
-        assert sum(
-            t.get("put", 0) for t in stats["store_traffic_by_shard"].values()
-        ) == stats["store_traffic"]["put"]
-
-    def test_shards_validation(self):
-        with pytest.raises(ValueError, match="shards"):
-            run_batch(SPECS, shards=0)
+        assert stats["store_traffic"]["put"] >= len(SPECS)
+        assert "shards" not in stats
+        assert "store_traffic_by_shard" not in stats
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +226,11 @@ class TestResume:
                 raise Die()
 
         with pytest.raises(Die):
-            run_batch(SPECS, store=str(tmp_path / "sh"), shards=4,
+            run_batch(SPECS, store=str(tmp_path / "pool"), jobs=2,
                       progress=crash_after_two)
         journal.close()
         assert not manifest.exists()  # died before the manifest was written
-        resumed = run_batch(SPECS, store=str(tmp_path / "sh"), shards=4,
+        resumed = run_batch(SPECS, store=str(tmp_path / "pool"), jobs=2,
                             resume=str(manifest))
         assert resumed.manifest_text() == cold.manifest_text()
         assert resumed.stats()["scheduler"]["resume_skips"] == 2
@@ -265,10 +271,11 @@ class TestResume:
     def test_v1_manifest_rejected(self, tmp_path):
         _, manifest = self._cold(tmp_path)
         document = json.loads(manifest.read_text())
-        document["schema"] = "repro-batch-manifest/1"
-        manifest.write_text(json.dumps(document))
-        with pytest.raises(ResumeError, match="schema"):
-            run_batch(SPECS, resume=str(manifest))
+        for old in ("repro-batch-manifest/1", "repro-batch-manifest/2"):
+            document["schema"] = old
+            manifest.write_text(json.dumps(document))
+            with pytest.raises(ResumeError, match="schema"):
+                run_batch(SPECS, resume=str(manifest))
 
     def test_missing_source_rejected(self, tmp_path):
         with pytest.raises(ResumeError, match="nothing to resume"):
@@ -276,7 +283,7 @@ class TestResume:
 
 
 # ----------------------------------------------------------------------
-# The CLI verb: sharded + resumable end to end
+# The CLI verb: resumable end to end
 # ----------------------------------------------------------------------
 class TestBatchCliResume:
     def test_journal_removed_after_clean_run(self, tmp_path, capsys):
@@ -285,13 +292,13 @@ class TestBatchCliResume:
         assert manifest.exists()
         assert not os.path.exists(str(manifest) + JOURNAL_SUFFIX)
 
-    def test_resume_over_sharded_store(self, tmp_path, capsys):
+    def test_pooled_resume_over_store(self, tmp_path, capsys):
         cold = tmp_path / "cold.json"
         warm = tmp_path / "warm.json"
         stats = tmp_path / "stats.json"
         assert main(["batch", *SPECS, "--manifest", str(cold)]) == 0
         code = main(
-            ["batch", *SPECS, "--store", str(tmp_path / "sh"), "--shards", "4",
+            ["batch", *SPECS, "--store", str(tmp_path / "store"),
              "--jobs", "2", "--resume", str(cold), "--manifest", str(warm),
              "--stats", str(stats)]
         )
@@ -322,39 +329,6 @@ class TestBatchCliResume:
         assert code == 2
         assert "nothing to resume" in capsys.readouterr().err
 
-    def test_cli_rejects_shard_layout_mismatch(self, tmp_path, capsys):
-        # laid out with 2 shards; --shards 3 must be a loud usage error
-        # before any design runs, not a mid-run worker traceback
-        store = tmp_path / "sh"
-        assert main(["batch", SPECS[0], "--store", str(store),
-                     "--shards", "2"]) == 0
-        capsys.readouterr()
-        code = main(["batch", SPECS[0], "--store", str(store),
-                     "--shards", "3"])
-        assert code == 2
-        assert "laid out with 2 shard(s)" in capsys.readouterr().err
-
-    def test_cli_rejects_missing_remote(self, tmp_path, capsys):
-        code = main(
-            ["batch", *SPECS, "--remote-store", str(tmp_path / "absent")]
-        )
-        assert code == 2
-        assert "--remote-store" in capsys.readouterr().err
-
-    def test_remote_tier_end_to_end(self, tmp_path, capsys):
-        remote = tmp_path / "remote"
-        stats = tmp_path / "stats.json"
-        assert main(["batch", *SPECS, "--store", str(remote)]) == 0
-        code = main(
-            ["batch", *SPECS, "--store", str(tmp_path / "local"),
-             "--shards", "2", "--remote-store", str(remote),
-             "--stats", str(stats)]
-        )
-        assert code == 0
-        traffic = json.loads(stats.read_text())["store_traffic"]
-        assert traffic["remote-hit"] >= 1
-        assert traffic["promote"] >= 1
-
 
 # ----------------------------------------------------------------------
 # --jobs validation across verbs (exit 2, loud)
@@ -373,11 +347,6 @@ class TestJobsValidation:
         ["verify", "x.g", "--jobs", "2.5"],
         ["diff", "--count", "1", "--jobs", "0"],
         ["diff", "--count", "1", "--jobs", "-1"],
-        ["batch", "x.g", "--shards", "0"],
-        ["batch", "x.g", "--shards", "-4"],
-        ["batch", "x.g", "--shards", "many"],
-        ["serve", "--shards", "0"],
-        ["serve", "--shards", "2.5"],
     ])
     def test_non_positive_jobs_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -385,6 +354,19 @@ class TestJobsValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive integer" in err or "invalid" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["batch", "x.g", "--shards", "2"],
+        ["batch", "x.g", "--remote-store", "d"],
+        ["batch", "x.g", "--store-put-rate", "5"],
+        ["serve", "--shards", "2"],
+        ["serve", "--remote-store", "d"],
+    ])
+    def test_store_layout_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_jobs_one_accepted(self, capsys):
         assert main(["batch", SPECS[0], "--jobs", "1"]) == 0
@@ -416,16 +398,14 @@ def _fast_corpus(count=6, seed=11):
 
 
 class TestCorpusBatch:
-    def test_flat_sharded_and_resumed_manifests_identical(self, tmp_path):
+    def test_serial_pooled_and_resumed_manifests_identical(self, tmp_path):
         spec = _fast_corpus()
         flat = run_batch(corpus=spec, store=str(tmp_path / "a"))
         assert flat.exit_code == 0
         assert len(flat.outcomes) == spec.count
 
-        sharded = run_batch(
-            corpus=spec, store=str(tmp_path / "b"), jobs=2, shards=2
-        )
-        assert flat.manifest_text() == sharded.manifest_text()
+        pooled = run_batch(corpus=spec, store=str(tmp_path / "b"), jobs=2)
+        assert flat.manifest_text() == pooled.manifest_text()
 
         manifest = tmp_path / "corpus-manifest.json"
         manifest.write_text(flat.manifest_text())

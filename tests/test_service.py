@@ -402,63 +402,44 @@ class TestWarmSharing:
             report = handle.shutdown()
         assert report["pending"] == 0
 
-
-# ----------------------------------------------------------------------
-# Serving over a sharded store root
-# ----------------------------------------------------------------------
-class TestShardedService:
-    def test_thread_mode_over_sharded_store(self, tmp_path):
-        handle = ServiceUnderTest(store=str(tmp_path / "store"), shards=2)
+    def test_stats_report_the_store(self, tmp_path):
+        handle = ServiceUnderTest(store=str(tmp_path / "store"))
         try:
-            first = handle.wait(
-                handle.submit({"kind": "synth", "spec": DELEMENT})
-            )
-            assert first["status"] == "done"
-            status, stats = handle.request("GET", "/v1/stats")
-            assert status == 200
-            assert stats["store"]["shards"] == 2
-            by_shard = stats["store"]["traffic_by_shard"]
-            assert sorted(by_shard) == ["shard-00", "shard-01"]
-            assert sum(t["put"] for t in by_shard.values()) >= 1
-        finally:
-            handle.shutdown()
-        assert os.path.isdir(tmp_path / "store" / "shard-01")
-
-    def test_process_mode_shares_warmth_through_shards(self, tmp_path):
-        handle = ServiceUnderTest(
-            store=str(tmp_path / "store"), shards=2, workers=2
-        )
-        try:
-            ids = [
-                handle.submit({"kind": "synth", "spec": DELEMENT})
-                for _ in range(3)
-            ]
-            docs = [handle.wait(job_id) for job_id in ids]
-            assert all(doc["status"] == "done" for doc in docs)
-            assert any(doc["cache"].get("store_hit", 0) > 0 for doc in docs)
-        finally:
-            handle.shutdown()
-
-    def test_sharded_layout_autodetected_without_flag(self, tmp_path):
-        root = str(tmp_path / "store")
-        from repro.pipeline.shard import ShardedStore
-
-        ShardedStore(root, shards=3)  # as a batch --shards sweep leaves it
-        handle = ServiceUnderTest(store=root)
-        try:
-            assert handle.manager.store.shards == 3
             doc = handle.wait(
                 handle.submit({"kind": "synth", "spec": DELEMENT})
             )
             assert doc["status"] == "done"
+            status, stats = handle.request("GET", "/v1/stats")
+            assert status == 200
+            assert sorted(stats["store"]) == ["root", "traffic"]
+            assert stats["store"]["traffic"]["put"] >= 1
         finally:
             handle.shutdown()
 
-    def test_shards_without_store_rejected(self):
-        with pytest.raises(ValueError, match="store root"):
-            JobManager(shards=2)
-        with pytest.raises(ValueError, match="store root"):
-            JobManager(remote_store="/tmp/nope")
+
+class TestShardedService:
+    """Process-mode services over one flat store, one after the other."""
+
+    def test_process_mode_shares_warmth_through_shards(self, tmp_path):
+        root = str(tmp_path / "store")
+        first = ServiceUnderTest(store=root, workers=2)
+        try:
+            cold = first.wait(first.submit({"kind": "synth", "spec": DELEMENT}))
+            assert cold["status"] == "done"
+            cold_result = first.result(cold["id"])["result"]
+        finally:
+            first.shutdown()
+        # a fresh service has an empty memo: its workers warm from disk
+        second = ServiceUnderTest(store=root, workers=2)
+        try:
+            warm = second.wait(
+                second.submit({"kind": "synth", "spec": DELEMENT})
+            )
+            assert warm["status"] == "done"
+            assert warm["cache"].get("store_hit", 0) > 0
+            assert second.result(warm["id"])["result"] == cold_result
+        finally:
+            second.shutdown()
 
 
 # ----------------------------------------------------------------------
