@@ -134,7 +134,6 @@ def run_load(
     design: str,
     clients: int,
     requests: int,
-    backend: Optional[str] = None,
     quick: bool = False,
 ) -> Dict:
     """One full measurement: fresh server, cold shot, concurrent warm load."""
@@ -145,9 +144,7 @@ def run_load(
     document = {"kind": "synth", "spec": spec_text, "name": design}
 
     with tempfile.TemporaryDirectory(prefix="bench-service-") as scratch:
-        server = ServerThread(
-            store=os.path.join(scratch, "store"), backend=backend
-        )
+        server = ServerThread(store=os.path.join(scratch, "store"))
         try:
             cold_s = server.synth_round_trip(document)
 
@@ -190,7 +187,6 @@ def run_load(
     warm_p50 = percentile(latencies, 50)
     return {
         "design": design,
-        "backend": stats["backend"],
         "mode": stats["mode"],
         "clients": len(threads),
         "requests": len(latencies),
@@ -221,7 +217,6 @@ def main(argv=None) -> int:
         "--requests", type=int, default=120,
         help="total warm requests across all clients (default 120)",
     )
-    parser.add_argument("--backend", default=None, help="analysis backend")
     parser.add_argument(
         "--quick", action="store_true",
         help="CI preset: 3 clients, 30 warm requests",
@@ -235,8 +230,7 @@ def main(argv=None) -> int:
         args.clients, args.requests = 3, 30
 
     payload = run_load(
-        args.design, args.clients, args.requests,
-        backend=args.backend, quick=args.quick,
+        args.design, args.clients, args.requests, quick=args.quick
     )
     path = update_pipeline_json("service", payload, path=args.out)
     print(

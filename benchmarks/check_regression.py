@@ -2,7 +2,7 @@
 
 ``BENCH_pipeline.json`` freezes the paired A/B measurement that accepted
 the bitmask engine: ``pre_change_baseline_ms`` (the pure dict-based
-path, now registered as the ``reference`` analysis backend in
+path, now available as the ``reference`` analysis engine in
 :mod:`repro.pipeline.backends`) against ``paired_post_change_ms`` (the
 ``bitengine`` backend) on the same host.  Absolute milliseconds are
 meaningless across CI runners, but the *ratio* between the two backends

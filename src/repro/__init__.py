@@ -169,8 +169,8 @@ def synthesize_from_state_graph(
        rather than hazard-free).
 
     A thin wrapper over :class:`repro.pipeline.Pipeline`; pass an
-    :class:`~repro.pipeline.AnalysisContext` to choose the analysis
-    backend, share a budget, or reuse memoised stage artifacts.
+    :class:`~repro.pipeline.AnalysisContext` to share a budget or reuse
+    memoised stage artifacts.
     """
     from repro.pipeline import PipelineSpec
 

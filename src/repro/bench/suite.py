@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import perf
 from repro.core.insertion import InsertionResult
@@ -103,6 +103,17 @@ class PipelineResult:
         return pipeline_result_from_json(data)
 
 
+def unknown_designs_error(names: Iterable[str]) -> Optional[str]:
+    """The usage error for ``names`` that are not Table-1 designs, or None."""
+    unknown = sorted(set(names) - set(BENCHMARKS))
+    if not unknown:
+        return None
+    return (
+        f"unknown design(s): {', '.join(unknown)}; "
+        f"available: {', '.join(sorted(BENCHMARKS))}"
+    )
+
+
 def run_pipeline(
     name: str,
     verify: bool = True,
@@ -111,7 +122,6 @@ def run_pipeline(
     profile: bool = False,
     context=None,
     store=None,
-    backend: Optional[str] = None,
 ) -> PipelineResult:
     """Full MC-reduction pipeline for one benchmark.
 
@@ -122,21 +132,17 @@ def run_pipeline(
     With ``profile=True`` a fresh :mod:`repro.perf` recorder is scoped
     to this run (via :func:`repro.perf.recording`) and its per-phase
     wall times and op counters land in ``result.profile``.  Pass a
-    ``context`` to choose the analysis backend or share budgets/caches
+    ``context`` to run the ``reference`` oracle or share budgets/caches
     across designs; ``profile`` is ignored when a context is supplied
     (the context's own recorder wins).  ``store`` (a directory path or
     :class:`~repro.pipeline.store.ArtifactStore`) backs the default
     context with the persistent artifact cache; it is ignored when an
     explicit ``context`` is supplied (configure the context instead).
-    ``backend`` picks the registered analysis backend for the default
-    context (``bitengine`` when omitted); like ``store`` it is ignored
-    when an explicit ``context`` is supplied.
     """
     from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
 
     if context is None:
         context = AnalysisContext(
-            backend=backend or "bitengine",
             recorder=perf.PerfRecorder() if profile else None,
             store=store,
         )
@@ -173,38 +179,18 @@ def run_pipeline(
 def run_table1(
     verify: bool = True,
     names: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
     profile: bool = False,
     store=None,
-    backend: Optional[str] = None,
 ) -> List[PipelineResult]:
     """Run the whole Table-1 suite; returns one result per design.
 
-    ``jobs`` opts into a ``concurrent.futures`` fan-out across designs
-    (each design's pipeline is fully independent); results come back in
-    the requested design order either way.  ``profile`` implies serial
-    execution because the perf recorder is process-global.  ``store``
-    (a directory path) warms every design from the persistent artifact
-    cache; each design opens its own handle, so the fan-out stays safe.
+    Designs run one after another in the requested order.  ``store`` (a
+    directory path) warms every design from the persistent artifact
+    cache.
     """
-    names = list(names or BENCHMARKS)
-    if jobs is not None and jobs > 1 and not profile and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(
-                    lambda name: run_pipeline(
-                        name, verify=verify, store=store, backend=backend
-                    ),
-                    names,
-                )
-            )
     return [
-        run_pipeline(
-            name, verify=verify, profile=profile, store=store, backend=backend
-        )
-        for name in names
+        run_pipeline(name, verify=verify, profile=profile, store=store)
+        for name in names or BENCHMARKS
     ]
 
 

@@ -74,14 +74,13 @@ def _load(path: str, max_states: int = 1_000_000):
         raise CliError(f"invalid specification {path!r}: {exc}") from exc
 
 
-def parse_jobs(text: str) -> int:
-    """argparse type for ``--jobs`` (and ``--workers``): positive int.
+def parse_positive(text: str) -> int:
+    """argparse type for every count flag: a positive int.
 
-    The one shared validator for every verb that fans out (``info``,
-    ``synth``, ``verify``, ``diff``, ``table1``, ``batch``) and for the
-    worker count of ``serve``: rejecting 0/negative values loudly
-    (usage error, exit 2) replaces the old behaviour where non-positive
-    job counts silently ran serial.
+    The one shared validator for worker counts (``batch --jobs``,
+    ``serve --workers``), model and state budgets, run and event counts
+    and the server's queue and retention limits: a 0 or negative value
+    is a loud usage error (exit 2) instead of a run that misbehaves.
     """
     try:
         value = int(text)
@@ -203,9 +202,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  output distributive : {is_output_distributive(sg)}")
     print(f"  persistent          : {is_persistent(sg)}")
     print(f"  USC / CSC           : {has_usc(sg)} / {has_csc(sg)}")
-    context = AnalysisContext(
-        backend=args.backend, jobs=args.jobs, store=args.store
-    )
+    context = AnalysisContext(store=args.store)
     report = Pipeline(context).run(sg, until="mc").report
     print(report.describe())
     if args.dot:
@@ -263,9 +260,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from repro.pipeline import AnalysisContext
 
     recorder = _start_profile(args)
-    context = AnalysisContext(
-        backend=args.backend, jobs=args.jobs, store=args.store
-    )
+    context = AnalysisContext(store=args.store)
     if getattr(args, "edit", None):
         stg, _ = _load(args.spec)
         result = _edit_synthesis(args, context, stg)
@@ -332,9 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     budget.charge_states(len(sg.state_list), "specification elaboration")
     # the pipeline's netlist stage charges the circuit composition and
     # runs the wall-clock check against this same budget -- exactly once
-    context = AnalysisContext(
-        backend=args.backend, budget=budget, jobs=args.jobs, store=args.store
-    )
+    context = AnalysisContext(budget=budget, store=args.store)
     run_si = args.oracle in ("si", "both")
     result = synthesize_from_state_graph(
         sg,
@@ -417,50 +410,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _diff_table1() -> int:
-    """Pipeline parity: run the Table-1 designs through both backends.
+    """Pipeline parity: run the Table-1 designs through bitengine and reference.
 
-    Every design's MC stage runs once per registered analysis backend;
-    the serialized artifacts (:mod:`repro.pipeline.serialize`) must be
-    identical.  Any artifact diff is a definite failure (exit 1).
+    Every design's MC stage runs once on each engine; the serialized
+    artifacts (:mod:`repro.pipeline.serialize`) must be identical.  Any
+    artifact diff is a definite failure (exit 1).
     """
     from repro.bench.suite import BENCHMARKS, load_benchmark
     from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
-    from repro.pipeline.backends import available_backends
     from repro.pipeline.serialize import mc_report_to_json
     from repro.verify.differential import diff_reports
 
-    backends = available_backends()
     divergent = 0
     for name in BENCHMARKS:
         spec = PipelineSpec.from_stg(load_benchmark(name), name=name)
-        verdicts = {
-            backend: Pipeline(AnalysisContext(backend=backend)).run(spec, until="mc")
-            for backend in backends
-        }
-        artifacts = {b: mc_report_to_json(v.report) for b, v in verdicts.items()}
-        baseline_name, *other_names = backends
+        fast, reference = (
+            Pipeline(AnalysisContext(backend=engine)).run(spec, until="mc").report
+            for engine in ("bitengine", "reference")
+        )
         mismatches = []
-        for other in other_names:
-            if artifacts[other] != artifacts[baseline_name]:
-                mismatches += diff_reports(
-                    verdicts[baseline_name].report,
-                    verdicts[other].report,
-                    label=f"{baseline_name} vs {other}",
-                ) or [f"{baseline_name} vs {other}: artifacts differ"]
+        if mc_report_to_json(fast) != mc_report_to_json(reference):
+            mismatches = diff_reports(
+                fast, reference, label="bitengine vs reference"
+            ) or ["bitengine vs reference: artifacts differ"]
         status = "parity" if not mismatches else "DIVERGED"
-        print(f"{name}: {status} ({', '.join(backends)})")
+        print(f"{name}: {status} (bitengine, reference)")
         for line in mismatches:
             print(f"  {line}")
         divergent += bool(mismatches)
     print(
         f"pipeline parity: {len(BENCHMARKS)} design(s) x "
-        f"{len(backends)} backend(s), {divergent} divergent"
+        f"bitengine vs reference, {divergent} divergent"
     )
     return EXIT_OK if divergent == 0 else EXIT_HAZARD
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    """Differential oracle sweep: fast backend vs reference path (CI gate)."""
+    """Differential oracle sweep: bitengine vs the reference oracle (CI gate)."""
     from repro.verify.differential import differential_campaign
 
     if args.table1:
@@ -476,9 +462,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         max_seconds_each=args.max_seconds_each,
         repair_seconds=args.repair_seconds,
         progress=progress,
-        jobs=args.jobs,
         store=args.store,
-        backend=args.backend or "bitengine",
     )
     print(report.describe())
     if report.divergent:
@@ -527,27 +511,23 @@ def cmd_table1(args: argparse.Namespace) -> int:
         BENCHMARKS,
         format_table1,
         run_pipeline,
-        run_table1,
+        unknown_designs_error,
         write_pipeline_json,
     )
 
     names = args.designs or list(BENCHMARKS)
-    if args.jobs and args.jobs > 1 and not args.profile:
-        print(f"running {len(names)} designs with jobs={args.jobs} ...", file=sys.stderr)
-        results = run_table1(
-            verify=not args.no_verify, names=names, jobs=args.jobs,
-            store=args.store, backend=args.backend,
-        )
-    else:
-        results = []
-        for name in names:
-            print(f"running {name} ...", file=sys.stderr)
-            results.append(
-                run_pipeline(
-                    name, verify=not args.no_verify, profile=args.profile,
-                    store=args.store, backend=args.backend,
-                )
+    error = unknown_designs_error(names)
+    if error is not None:
+        raise CliError(error)
+    results = []
+    for name in names:
+        print(f"running {name} ...", file=sys.stderr)
+        results.append(
+            run_pipeline(
+                name, verify=not args.no_verify, profile=args.profile,
+                store=args.store,
             )
+        )
     print(format_table1(results))
     if args.json:
         path = write_pipeline_json(results, args.json)
@@ -610,7 +590,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         journal = BatchJournal(
             args.manifest + JOURNAL_SUFFIX,
             batch_options(
-                backend=args.backend,
                 style=args.style,
                 share_gates=args.share,
                 verify=not args.no_verify,
@@ -631,7 +610,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             args.specs,
             store=store,
             jobs=args.jobs,
-            backend=args.backend,
             style=args.style,
             share_gates=args.share,
             verify=not args.no_verify,
@@ -674,7 +652,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store=validated_store(args.store),
-        backend=args.backend,
         workers=args.workers,
         tenant_tokens=args.tenant_tokens,
         tenant_refill=args.tenant_refill,
@@ -684,23 +661,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         memo_entries=args.memo_entries,
         keep_jobs=args.keep_jobs,
         port_file=args.port_file,
-    )
-
-
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    """``--backend`` with choices drawn from the live backend registry.
-
-    The choice list comes from :func:`available_backends` at parser
-    build time, so backends added via ``register_backend`` appear here
-    without touching the CLI; argparse rejects an unknown name with
-    exit status 2 and a message enumerating the registered names.
-    """
-    from repro.pipeline.backends import available_backends
-
-    names = available_backends()
-    parser.add_argument(
-        "--backend", default=None, choices=names, metavar="NAME",
-        help="analysis backend: " + " | ".join(names),
     )
 
 
@@ -715,11 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="analyse an STG specification")
     p_info.add_argument("spec", help=".g file")
     p_info.add_argument("--dot", help="write the state graph as Graphviz")
-    p_info.add_argument(
-        "--jobs", type=parse_jobs, default=None,
-        help="parallel MC analysis fan-out (threads over signals)",
-    )
-    _add_backend_option(p_info)
     p_info.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store directory (warm-start cache)",
@@ -756,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--area", action="store_true",
         help="print the transistor-count area estimate",
     )
-    p_synth.add_argument("--max-models", type=int, default=400)
+    p_synth.add_argument("--max-models", type=parse_positive, default=400)
     p_synth.add_argument("--verilog", help="write structural Verilog")
     p_synth.add_argument("--save-netlist", help="write the netlist as JSON")
     p_synth.add_argument(
@@ -764,11 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the (repaired) specification back as a .g STG",
     )
     p_synth.add_argument("--dot", help="write the netlist as Graphviz")
-    _add_backend_option(p_synth)
-    p_synth.add_argument(
-        "--jobs", type=parse_jobs, default=None,
-        help="thread fan-out for the MC analysis (positive integer)",
-    )
     p_synth.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store directory (warm-start cache)",
@@ -783,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("spec", help=".g file")
     p_verify.add_argument("--style", choices=["C", "RS", "RS-NOR", "C-INV"], default="C")
     p_verify.add_argument(
-        "--budget-states", type=int, default=None,
+        "--budget-states", type=parse_positive, default=None,
         help="total state budget across elaboration + composition "
         "(exceeded -> exit 3, inconclusive)",
     )
@@ -798,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a delay-storm hazard on the MC circuit -> exit 1",
     )
     p_verify.add_argument(
-        "--fault-runs", type=int, default=20,
+        "--fault-runs", type=parse_positive, default=20,
         help="simulation runs per fault model (default 20)",
     )
     p_verify.add_argument(
@@ -812,11 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check on the SOP covers, 'both' runs the two and fails on any "
         "disagreement",
     )
-    _add_backend_option(p_verify)
-    p_verify.add_argument(
-        "--jobs", type=parse_jobs, default=None,
-        help="thread fan-out for the MC analysis (positive integer)",
-    )
     p_verify.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store directory (warm-start cache)",
@@ -829,11 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser(
         "diff",
-        help="differential oracle: a fast backend vs reference on "
+        help="differential oracle: bitengine vs the reference oracle on "
         "random STGs",
     )
     p_diff.add_argument(
-        "--count", type=int, default=200,
+        "--count", type=parse_positive, default=200,
         help="number of randomized specifications (default 200)",
     )
     p_diff.add_argument(
@@ -841,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="corpus generation seed (non-negative integer)",
     )
     p_diff.add_argument(
-        "--max-states", type=int, default=20_000,
+        "--max-states", type=parse_positive, default=20_000,
         help="per-design state budget (blown -> design skipped)",
     )
     p_diff.add_argument(
@@ -863,14 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument(
         "--table1", action="store_true",
-        help="pipeline parity: run the Table-1 designs through every "
-        "registered backend and fail on any artifact diff",
-    )
-    _add_backend_option(p_diff)
-    p_diff.add_argument(
-        "--jobs", type=parse_jobs, default=None,
-        help="thread fan-out for each design's MC analyses "
-        "(positive integer)",
+        help="pipeline parity: run the Table-1 designs through bitengine "
+        "and reference and fail on any artifact diff",
     )
     p_diff.add_argument(
         "--store", default=None, metavar="DIR",
@@ -882,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo delay simulation")
     p_sim.add_argument("spec", help=".g file")
     p_sim.add_argument("--style", choices=["C", "RS"], default="C")
-    p_sim.add_argument("--runs", type=int, default=20)
-    p_sim.add_argument("--events", type=int, default=1000)
+    p_sim.add_argument("--runs", type=parse_positive, default=20)
+    p_sim.add_argument("--events", type=parse_positive, default=1000)
     p_sim.add_argument("--seed", type=parse_seed, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -892,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("spec", help=".g file")
     p_check.add_argument("netlist", help="netlist JSON file")
-    p_check.add_argument("--max-states", type=int, default=500_000)
+    p_check.add_argument("--max-states", type=parse_positive, default=500_000)
     p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser(
@@ -902,17 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("designs", nargs="*", help="subset of designs")
     p_table.add_argument("--no-verify", action="store_true")
     p_table.add_argument(
-        "--jobs", type=parse_jobs, default=None,
-        help="run designs concurrently (thread pool)",
-    )
-    p_table.add_argument(
         "--profile", action="store_true",
-        help="per-design phase profile (forces serial execution)",
+        help="per-design phase profile",
     )
     p_table.add_argument(
         "--json", help="write/merge BENCH_pipeline.json at this path"
     )
-    _add_backend_option(p_table)
     p_table.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store directory (warm-start cache)",
@@ -940,14 +874,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(non-negative integer; only valid with --corpus)",
     )
     p_batch.add_argument(
-        "--jobs", type=parse_jobs, default=1,
+        "--jobs", type=parse_positive, default=1,
         help="worker processes (default 1: run inline)",
     )
     p_batch.add_argument(
         "--store", default=None, metavar="DIR",
         help="persistent artifact store directory shared by all workers",
     )
-    _add_backend_option(p_batch)
     p_batch.add_argument(
         "--style", choices=["C", "RS", "RS-NOR", "C-INV"], default="C"
     )
@@ -960,9 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="Sec.-VI gate sharing (pass 'optimal' for the exact optimiser)",
     )
     p_batch.add_argument("--no-verify", action="store_true")
-    p_batch.add_argument("--max-models", type=int, default=400)
+    p_batch.add_argument("--max-models", type=parse_positive, default=400)
     p_batch.add_argument(
-        "--max-states", type=int, default=None,
+        "--max-states", type=parse_positive, default=None,
         help="per-design state budget (blown -> that design inconclusive)",
     )
     p_batch.add_argument(
@@ -1002,9 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent artifact store shared by every request "
         "(validated up front; a bad path is a usage error)",
     )
-    _add_backend_option(p_serve)
     p_serve.add_argument(
-        "--workers", type=parse_jobs, default=1,
+        "--workers", type=parse_positive, default=1,
         help="1 (default): one worker thread sharing the in-memory "
         "artifact cache; >1: a process pool sharing warmth via --store",
     )
@@ -1017,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant bucket refill rate, state tokens per second",
     )
     p_serve.add_argument(
-        "--job-max-states", type=int, default=500_000,
+        "--job-max-states", type=parse_positive, default=500_000,
         help="per-job state-budget cap (blown -> job inconclusive)",
     )
     p_serve.add_argument(
@@ -1025,15 +957,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock budget (blown -> job inconclusive)",
     )
     p_serve.add_argument(
-        "--max-queued", type=int, default=256,
+        "--max-queued", type=parse_positive, default=256,
         help="submission queue capacity (full -> HTTP 429)",
     )
     p_serve.add_argument(
-        "--memo-entries", type=int, default=512,
+        "--memo-entries", type=parse_positive, default=512,
         help="resident artifact-cache capacity (LRU-evicted beyond it)",
     )
     p_serve.add_argument(
-        "--keep-jobs", type=int, default=1024,
+        "--keep-jobs", type=parse_positive, default=1024,
         help="finished jobs retained (oldest pruned beyond it)",
     )
     p_serve.add_argument(

@@ -163,8 +163,8 @@ def _function_verdicts(
 ) -> List[RegionVerdict]:
     """Verdicts for all regions of one excitation function (signal, dir).
 
-    Self-contained per function, which makes the per-function work
-    independently schedulable (see the ``jobs`` fan-out below).
+    Self-contained per function, which lets :func:`analyze_mc` adopt a
+    reused verdict list in place of any one function's.
     """
     verdicts: List[RegionVerdict] = []
     private: Dict[ExcitationRegion, Optional[Cube]] = {
@@ -202,23 +202,15 @@ def _function_verdicts(
 
 def analyze_mc(
     sg: StateGraph,
-    jobs: Optional[int] = None,
     reuse: Optional[Dict[Tuple[str, int], List[RegionVerdict]]] = None,
 ) -> MCReport:
     """Check the (generalised) Monotonous Cover requirement per region.
 
-    ``jobs`` opts into a parallel fan-out: the per-function verdicts
-    (one excitation function = one (signal, direction) pair) are
-    independent of each other, so they are dispatched to a
-    ``concurrent.futures`` thread pool.  The verdict list is identical
-    to the serial one -- results are collected in the same sorted
-    function order, and each function's computation is untouched.  The
-    shared per-graph caches (regions, bitmask engine, value sets) are
-    warmed up front so workers mostly read.
-
-    ``reuse`` maps ``(signal, direction)`` pairs to previously computed
-    verdict lists that are adopted verbatim in place of re-running the
-    function's cover search.  Callers are responsible for only offering
+    Verdicts are computed per excitation function (one (signal,
+    direction) pair) in sorted function order.  ``reuse`` maps
+    ``(signal, direction)`` pairs to previously computed verdict lists
+    that are adopted verbatim in place of re-running the function's
+    cover search.  Callers are responsible for only offering
     verdicts whose input cone is unchanged (the pipeline keys them on
     the per-function digests of ``pipeline/incremental.py``), which
     makes adoption indistinguishable from recomputation.
@@ -233,29 +225,9 @@ def analyze_mc(
         if reuse:
             perf.count("mc.functions-reused", len(ordered) - len(pending))
 
-        if jobs is not None and jobs > 1 and len(pending) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.sg.bitengine import bit_analysis
-
-            # warm the shared caches once, serially, so concurrent cache
-            # fills (harmless but wasteful duplicates) stay rare
-            engine = bit_analysis(sg)
-            engine.succ_bits
-            for (signal, _), _regions in pending:
-                excited_value_sets(sg, signal)
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(
-                        lambda item: _function_verdicts(sg, item[1]), pending
-                    )
-                )
-        else:
-            results = [
-                _function_verdicts(sg, regions) for _, regions in pending
-            ]
-
-        computed = {key: result for (key, _), result in zip(pending, results)}
+        computed = {
+            key: _function_verdicts(sg, regions) for key, regions in pending
+        }
         verdicts: List[RegionVerdict] = []
         for key, _regions in ordered:
             verdicts.extend(computed[key] if key in computed else list(reuse[key]))

@@ -46,9 +46,11 @@ from typing import Callable, Dict, Optional
 class PerfRecorder:
     """Accumulates per-phase wall times and named counters.
 
-    Updates are serialised by one lock: ``analyze_mc(jobs=N)`` worker
-    threads report into the same recorder concurrently, and an unlocked
-    read-modify-write of a shared dict loses updates.
+    Updates are serialised by one lock: the installed recorder is
+    process-global, so any threads running while it is installed (the
+    job server's thread-mode workers, for one) report into it
+    concurrently, and an unlocked read-modify-write of a shared dict
+    loses updates.
     """
 
     __slots__ = ("phases", "phase_calls", "counters", "_lock")

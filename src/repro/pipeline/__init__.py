@@ -1,4 +1,4 @@
-"""Staged synthesis pipeline with pluggable analysis backends.
+"""Staged synthesis pipeline over one analysis engine and its oracle.
 
 This package is the single orchestration layer of the repo: every
 end-to-end flow (CLI, library wrappers, bench harness, verify
@@ -9,10 +9,10 @@ campaigns) is a :class:`Pipeline` run over a shared
   :class:`PipelineSpec`;
 * :mod:`repro.pipeline.artifacts` -- the typed frozen stage artifacts
   and their fingerprint chain;
-* :mod:`repro.pipeline.context` -- backend + budget + memo cache +
+* :mod:`repro.pipeline.context` -- engine + budget + memo cache +
   profiling for one analysis world;
-* :mod:`repro.pipeline.backends` -- the ``bitengine`` / ``reference``
-  analysis backends behind one protocol;
+* :mod:`repro.pipeline.backends` -- the production ``bitengine`` and
+  the ``reference`` oracle that differential checks diff it against;
 * :mod:`repro.pipeline.serialize` -- shared JSON round-tripping of
   result artifacts and the faithful stage-artifact codecs;
 * :mod:`repro.pipeline.store` -- the content-addressed persistent
@@ -26,7 +26,7 @@ Quick start::
     from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
 
     spec = PipelineSpec.from_benchmark("delement")
-    pipeline = Pipeline(AnalysisContext(backend="bitengine"))
+    pipeline = Pipeline(AnalysisContext())
     plan = pipeline.run(spec, until="covers")
     print(plan.implementation.equations())
 """
@@ -38,19 +38,13 @@ from repro.pipeline.artifacts import (
     RegionMap,
     SynthesizedNetlist,
 )
-from repro.pipeline.backends import (
-    AnalysisBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.pipeline.backends import get_backend
 from repro.pipeline.batch import BatchReport, DesignOutcome, run_batch
 from repro.pipeline.context import AnalysisContext
 from repro.pipeline.core import STAGES, Pipeline, PipelineSpec
 from repro.pipeline.store import ArtifactStore
 
 __all__ = [
-    "AnalysisBackend",
     "AnalysisContext",
     "ArtifactStore",
     "BatchReport",
@@ -63,8 +57,6 @@ __all__ = [
     "RegionMap",
     "STAGES",
     "SynthesizedNetlist",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "run_batch",
 ]

@@ -1,15 +1,12 @@
-"""The production analysis backend: big-int bitset MC analysis.
+"""The production analysis engine: big-int bitset MC analysis.
 
 A thin adapter giving :func:`repro.core.mc.analyze_mc` -- the packed
-state-code engine of :mod:`repro.sg.bitengine` -- the uniform
-:class:`~repro.pipeline.backends.AnalysisBackend` shape.  This is the
-default backend of every pipeline; the ``jobs=`` fan-out (threads over
-excitation functions) passes straight through.
+state-code engine of :mod:`repro.sg.bitengine` -- the ``name`` /
+``analyze_mc`` shape the pipeline expects of an engine.  Every pipeline
+runs it unless a differential check asks for the ``reference`` oracle.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro import perf
 from repro.core.mc import MCReport, analyze_mc
@@ -24,11 +21,9 @@ class BitengineBackend:
     #: verdicts (delta re-synthesis); see pipeline/incremental.py
     supports_reuse = True
 
-    def analyze_mc(
-        self, sg: StateGraph, jobs: Optional[int] = None, reuse=None
-    ) -> MCReport:
+    def analyze_mc(self, sg: StateGraph, reuse=None) -> MCReport:
         perf.count("backend.bitengine.analyze_mc")
-        return analyze_mc(sg, jobs=jobs, reuse=reuse)
+        return analyze_mc(sg, reuse=reuse)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<AnalysisBackend bitengine>"
+        return "<analysis engine bitengine>"

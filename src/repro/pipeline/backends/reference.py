@@ -12,9 +12,9 @@ the bitengine path and no reads of the packed-state caches.
 It exists for one purpose: to be the independent oracle the
 differential-verification campaign (:mod:`repro.verify.differential`)
 diffs the fast path against.  It is deliberately slow, and it is
-reachable only as the registered ``reference`` analysis backend
-(:class:`ReferenceBackend`); nothing on the bitengine path may import
-it.
+reachable only as the ``reference`` analysis engine
+(:class:`ReferenceBackend`, via ``get_backend("reference")``); nothing
+on the bitengine path may import it.
 
 Equivalence is claim-for-claim, not merely verdict-for-verdict: the
 candidate enumeration orders (smallest-first subsets of the smallest
@@ -408,23 +408,17 @@ def analyze_mc_reference(sg: StateGraph) -> MCReport:
 
 
 class ReferenceBackend:
-    """Pure dictionary-based oracle path as a registered pipeline backend.
-
-    ``jobs`` is accepted for interface parity and ignored: the reference
-    path is deliberately serial so its claims cannot be perturbed by
-    scheduling.
-    """
+    """The pure dictionary-based oracle as a pipeline analysis engine."""
 
     name = "reference"
+    supports_reuse = False
 
-    def analyze_mc(
-        self, sg: StateGraph, jobs: Optional[int] = None
-    ) -> MCReport:
+    def analyze_mc(self, sg: StateGraph) -> MCReport:
         perf.count("backend.reference.analyze_mc")
         return analyze_mc_reference(sg)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<AnalysisBackend reference>"
+        return "<analysis engine reference>"
 
 
 __all__ = [

@@ -15,7 +15,7 @@ recomputes only the designs whose specifications changed.
 Determinism contract
 --------------------
 The **manifest** (:meth:`BatchReport.manifest`, schema
-``repro-batch-manifest/3``) contains only reproducible facts -- an
+``repro-batch-manifest/4``) contains only reproducible facts -- an
 options echo with its fingerprint, then per design: name, verdict,
 state counts, equations, pipeline fingerprint and specification
 fingerprint -- ordered by design name.  Nothing in it depends on
@@ -83,13 +83,13 @@ EXIT_OK = 0
 EXIT_HAZARD = 1
 EXIT_INCONCLUSIVE = 3
 
-#: manifest schema stamp (see :meth:`BatchReport.manifest`); ``/3``
-#: dropped the per-row routing key that ``/2`` rows carried
-MANIFEST_SCHEMA = "repro-batch-manifest/3"
+#: manifest schema stamp (see :meth:`BatchReport.manifest`); ``/4``
+#: dropped the ``backend`` key that ``/3`` carried in its options echo
+MANIFEST_SCHEMA = "repro-batch-manifest/4"
 
-#: journal schema stamp (one NDJSON row per completed design); ``/2``
-#: rows are ``/3`` manifest rows
-JOURNAL_SCHEMA = "repro-batch-journal/2"
+#: journal schema stamp (one NDJSON row per completed design); ``/3``
+#: rows are ``/4`` manifest rows
+JOURNAL_SCHEMA = "repro-batch-journal/3"
 
 #: designs in flight per worker process: the pool draws a lazy corpus
 #: stream at most ``PREFETCH_PER_JOB * jobs`` designs ahead
@@ -111,7 +111,6 @@ class ResumeError(ValueError):
 
 
 def batch_options(
-    backend: Optional[str] = None,
     style: str = "C",
     share_gates: object = False,
     verify: bool = True,
@@ -121,13 +120,10 @@ def batch_options(
 ) -> Dict:
     """The manifest's options echo: every knob that shapes a row.
 
-    ``backend`` is included because the netlist fingerprint chain
-    contains the backend name; ``jobs`` and the store root are
-    deliberately absent -- they are placement facts that must not
-    change the manifest bytes.
+    ``jobs`` and the store root are deliberately absent -- they are
+    placement facts that must not change the manifest bytes.
     """
     return {
-        "backend": backend or "bitengine",
         "style": style,
         "share_gates": share_gates,
         "verify": verify,
@@ -214,7 +210,6 @@ class BatchReport:
     outcomes: List[DesignOutcome]
     jobs: int = 1
     store_root: Optional[str] = None
-    backend: Optional[str] = None
     #: the options echo (see :func:`batch_options`); defaulted lazily
     options: Dict = field(default_factory=dict)
     #: scheduler counters: resume skips
@@ -236,9 +231,7 @@ class BatchReport:
         """The deterministic corpus manifest, rows ordered by name."""
         return {
             "schema": MANIFEST_SCHEMA,
-            "options": _stamped_options(
-                self.options or batch_options(backend=self.backend)
-            ),
+            "options": _stamped_options(self.options or batch_options()),
             "designs": [
                 outcome.manifest_entry()
                 for outcome in sorted(
@@ -268,7 +261,6 @@ class BatchReport:
             "designs": len(self.outcomes),
             "jobs": self.jobs,
             "seed": self.seed,
-            "backend": self.backend or "bitengine",
             "store": self.store_root,
             "scheduler": scheduler,
             "resumed_designs": sorted(
@@ -509,9 +501,7 @@ def _run_design(task: Dict) -> Dict:
     budget = Budget(
         max_states=task["max_states"], max_seconds=task["timeout_seconds"]
     )
-    context = AnalysisContext(
-        backend=task["backend"], budget=budget, store=task["store_root"]
-    )
+    context = AnalysisContext(budget=budget, store=task["store_root"])
     try:
         try:
             if spec_text is not None:
@@ -647,7 +637,6 @@ def run_batch(
     specs: Sequence[str] = (),
     store: Union[str, None] = None,
     jobs: int = 1,
-    backend: Optional[str] = None,
     style: str = "C",
     share_gates: object = False,
     verify: bool = True,
@@ -688,7 +677,6 @@ def run_batch(
     if corpus is None and not specs:
         raise ValueError("no specifications given")
     options = batch_options(
-        backend=backend,
         style=style,
         share_gates=share_gates,
         verify=verify,
@@ -716,7 +704,6 @@ def run_batch(
         """The task-dict fields shared by every design of this run."""
         return {
             "store_root": None if store is None else str(store),
-            "backend": backend,
             "style": style,
             "share_gates": share_gates,
             "verify": verify,
@@ -774,7 +761,6 @@ def run_batch(
             outcomes=outcomes,
             jobs=jobs,
             store_root=None if store is None else str(store),
-            backend=backend,
             options=options,
             scheduler=scheduler,
             seed=corpus.seed,
@@ -798,7 +784,6 @@ def run_batch(
         outcomes=outcomes,
         jobs=jobs,
         store_root=None if store is None else str(store),
-        backend=backend,
         options=options,
         scheduler=scheduler,
     )

@@ -18,7 +18,7 @@ import os
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro import perf
-from repro.pipeline.backends import AnalysisBackend, get_backend
+from repro.pipeline.backends import get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.verify -> pipeline
     from repro.pipeline.store import ArtifactStore
@@ -26,20 +26,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.verify -> pipeline
 
 
 class AnalysisContext:
-    """Backend + budget + memo cache + profiling for one analysis world.
+    """Engine + budget + memo cache + profiling for one analysis world.
 
     Parameters
     ----------
     backend:
-        Backend name (``"bitengine"``, ``"reference"``) or an
-        :class:`~repro.pipeline.backends.AnalysisBackend` instance.
+        Analysis engine name: ``"bitengine"`` (the default) or the
+        ``"reference"`` oracle.
     budget:
         The single :class:`Budget` every stage charges; defaults to an
         unbounded no-op guard.  Pass the *enclosing* campaign's budget
         when nesting a pipeline inside a larger run -- contexts never
         start a second clock of their own.
-    jobs:
-        Default thread fan-out for analyses that support it.
     recorder:
         Optional :class:`repro.perf.PerfRecorder` installed for the
         duration of each ``Pipeline.run`` on this context.  ``None``
@@ -61,9 +59,8 @@ class AnalysisContext:
 
     def __init__(
         self,
-        backend: Union[str, AnalysisBackend, None] = None,
+        backend: Optional[str] = None,
         budget: Optional["Budget"] = None,
-        jobs: Optional[int] = None,
         recorder: Optional[perf.PerfRecorder] = None,
         store: Union["ArtifactStore", str, None] = None,
         memo: Optional[Dict[Tuple, object]] = None,
@@ -74,9 +71,8 @@ class AnalysisContext:
             from repro.pipeline.store import ArtifactStore
 
             store = ArtifactStore(str(store))
-        self.backend: AnalysisBackend = get_backend(backend)
+        self.backend = get_backend(backend)
         self.budget: Budget = budget if budget is not None else Budget()
-        self.jobs = jobs
         self.recorder = recorder
         self.store: Optional["ArtifactStore"] = store
         self._memo: Dict[Tuple, object] = memo if memo is not None else {}
@@ -205,8 +201,7 @@ class AnalysisContext:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"AnalysisContext(backend={self.backend.name!r}, "
-            f"budget={self.budget!r}, jobs={self.jobs!r}, "
-            f"cached={len(self._memo)})"
+            f"budget={self.budget!r}, cached={len(self._memo)})"
         )
 
 

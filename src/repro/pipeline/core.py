@@ -10,7 +10,7 @@ stages over a shared :class:`~repro.pipeline.context.AnalysisContext`::
 ========== ============================================================
 reach      elaborate the STG (or adopt a ready state graph)
 regions    excitation regions of every non-input signal
-mc         the context backend's Monotonous Cover analysis (Defs. 17-19)
+mc         the context engine's Monotonous Cover analysis (Defs. 17-19)
 covers     MC-driven state-signal insertion + standard implementation
 netlist    basic-gate netlist + optional speed-independence check
 ========== ============================================================
@@ -358,8 +358,8 @@ class Pipeline:
                 fingerprints.append((fname, digest))
                 if base_digests.get(fname) == digest and fname in base_verdicts:
                     reuse_map[(signal, direction)] = base_verdicts[fname]
-            if reuse_map and getattr(ctx.backend, "supports_reuse", False):
-                report = ctx.backend.analyze_mc(sg, jobs=ctx.jobs, reuse=reuse_map)
+            if reuse_map and ctx.backend.supports_reuse:
+                report = ctx.backend.analyze_mc(sg, reuse=reuse_map)
                 ctx.note_reuse(
                     "mc",
                     "partial",
@@ -367,7 +367,7 @@ class Pipeline:
                     computed_functions=len(by_function) - len(reuse_map),
                 )
             else:
-                report = ctx.backend.analyze_mc(sg, jobs=ctx.jobs)
+                report = ctx.backend.analyze_mc(sg)
             return MCVerdict(
                 report=report,
                 backend=ctx.backend.name,

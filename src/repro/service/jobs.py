@@ -358,9 +358,7 @@ def _run_table1(params: Dict, context, emit) -> JobOutcome:
     results = run_table1(
         verify=params["verify"],
         names=names,
-        jobs=params["jobs"],
         store=store_root,
-        backend=params["backend"] or context.backend.name,
     )
     for result in results:
         emit(
@@ -404,7 +402,6 @@ def _run_diff(params: Dict, context, emit) -> JobOutcome:
         max_seconds_each=params["max_seconds_each"],
         progress=progress,
         store=store_root,
-        backend=params["backend"],
     )
     divergent = report.divergent
     result = {
@@ -458,7 +455,6 @@ def _run_corpus(params: Dict, context, emit) -> JobOutcome:
             corpus=spec,
             store=store_root,
             jobs=params["jobs"] or 1,
-            backend=params["backend"] or context.backend.name,
             style=params["style"],
             verify=params["verify"],
             max_states=params["max_states"],
@@ -568,7 +564,6 @@ def _process_job(task: Dict) -> Dict:
         max_states=task["max_states"], max_seconds=task["max_seconds"]
     )
     context = AnalysisContext(
-        backend=task["backend"],
         budget=budget,
         store=task["store_root"],
         recorder=StreamRecorder(events.append),
@@ -623,7 +618,6 @@ class JobManager:
     def __init__(
         self,
         store: Optional[str] = None,
-        backend: Optional[str] = None,
         workers: int = 1,
         tenant_tokens: float = DEFAULT_TENANT_TOKENS,
         tenant_refill: float = DEFAULT_TENANT_REFILL,
@@ -635,9 +629,6 @@ class JobManager:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        from repro.pipeline.backends import get_backend
-
-        self.backend = get_backend(backend).name
         self.workers = workers
         #: ``thread``: one worker thread, shared in-memory memo, live
         #: phase events.  ``process``: run_batch-style fan-out sharing
@@ -768,7 +759,6 @@ class JobManager:
         """The ``/v1/stats`` document: one resident world, observable."""
         return {
             "schema": "repro-service-stats/1",
-            "backend": self.backend,
             "mode": self.mode,
             "workers": self.workers,
             "draining": self._draining,
@@ -863,7 +853,6 @@ class JobManager:
             from repro.pipeline.context import AnalysisContext
 
             context = AnalysisContext(
-                backend=job.params.get("backend") or self.backend,
                 budget=Budget(max_states=state_cap, max_seconds=max_seconds),
                 store=self.store,
                 recorder=StreamRecorder(emit),
@@ -883,7 +872,6 @@ class JobManager:
             task = {
                 "kind": job.kind,
                 "params": job.params,
-                "backend": job.params.get("backend") or self.backend,
                 "store_root": self.store_root,
                 "max_states": state_cap,
                 "max_seconds": max_seconds,

@@ -49,7 +49,7 @@ an ``"event"`` discriminator (``status`` / ``stage`` / ``phase`` /
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: job kinds the service accepts, mapping 1:1 onto library entry points
 #: (synth/verify -> ``Pipeline.run``, table1 -> ``run_table1``,
@@ -75,23 +75,6 @@ class ProtocolError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
-
-
-def _known_backends() -> Tuple[str, ...]:
-    from repro.pipeline.backends import available_backends
-
-    return tuple(available_backends())
-
-
-def _check_backend(value) -> Optional[str]:
-    if value is None:
-        return None
-    names = _known_backends()
-    _require(
-        isinstance(value, str) and value in names,
-        f"unknown backend {value!r}; registered: {', '.join(names)}",
-    )
-    return value
 
 
 def _check_int(value, name: str, minimum: int = 1) -> int:
@@ -175,7 +158,7 @@ def _synth_params(body: Dict, kind: str) -> Dict:
         body.get("options"),
         (
             "style", "share_gates", "verify", "max_models", "max_states",
-            "backend", "budget_seconds", "verify_max_states",
+            "budget_seconds", "verify_max_states",
         ),
     )
     params = {
@@ -192,7 +175,6 @@ def _synth_params(body: Dict, kind: str) -> Dict:
         "verify_max_states": _check_int(
             options.get("verify_max_states", 500_000), "verify_max_states"
         ),
-        "backend": _check_backend(options.get("backend")),
         "budget_seconds": (
             None
             if options.get("budget_seconds") is None
@@ -215,11 +197,9 @@ def _synth_params(body: Dict, kind: str) -> Dict:
 
 
 def _table1_params(body: Dict, kind: str) -> Dict:
-    from repro.bench.suite import BENCHMARKS
+    from repro.bench.suite import unknown_designs_error
 
-    options = _check_options(
-        body.get("options"), ("designs", "verify", "backend", "jobs")
-    )
+    options = _check_options(body.get("options"), ("designs", "verify"))
     designs = options.get("designs")
     if designs is not None:
         _require(
@@ -228,29 +208,19 @@ def _table1_params(body: Dict, kind: str) -> Dict:
             and designs,
             "designs must be a non-empty list of benchmark names",
         )
-        unknown = sorted(set(designs) - set(BENCHMARKS))
-        _require(
-            not unknown,
-            f"unknown design(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(BENCHMARKS))}",
-        )
+        error = unknown_designs_error(designs)
+        _require(error is None, error)
     return {
         "name": _job_name(body, default="table1"),
         "designs": designs,
         "verify": bool(options.get("verify", True)),
-        "backend": _check_backend(options.get("backend")),
-        "jobs": (
-            None
-            if options.get("jobs") is None
-            else _check_int(options["jobs"], "jobs")
-        ),
     }
 
 
 def _diff_params(body: Dict, kind: str) -> Dict:
     options = _check_options(
         body.get("options"),
-        ("count", "seed", "backend", "max_states", "max_seconds_each"),
+        ("count", "seed", "max_states", "max_seconds_each"),
     )
     count = _check_int(options.get("count", 50), "count")
     _require(count <= 5000, "count must be <= 5000 per job")
@@ -263,7 +233,6 @@ def _diff_params(body: Dict, kind: str) -> Dict:
         "name": _job_name(body, default="diff"),
         "count": count,
         "seed": seed,
-        "backend": _check_backend(options.get("backend")) or "bitengine",
         "max_states": _check_int(
             options.get("max_states", 20_000), "max_states"
         ),
@@ -299,7 +268,7 @@ def _corpus_params(body: Dict, kind: str) -> Dict:
     options = _check_options(
         body.get("options"),
         (
-            "seed", "backend", "style", "verify", "max_states",
+            "seed", "style", "verify", "max_states",
             "timeout_seconds", "jobs",
         ),
     )
@@ -318,7 +287,6 @@ def _corpus_params(body: Dict, kind: str) -> Dict:
         "corpus": spec.to_json(),
         "style": style,
         "verify": bool(options.get("verify", True)),
-        "backend": _check_backend(options.get("backend")),
         "max_states": _check_int(
             options.get("max_states", 20_000), "max_states"
         ),

@@ -298,7 +298,6 @@ class ServiceServer:
                 {
                     "status": "ok",
                     "service": "repro-si",
-                    "backend": self.manager.backend,
                     "mode": self.manager.mode,
                 },
                 keep=keep,
@@ -463,7 +462,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     store: Optional[str] = None,
-    backend: Optional[str] = None,
     workers: int = 1,
     tenant_tokens: float = jobs_mod.DEFAULT_TENANT_TOKENS,
     tenant_refill: float = jobs_mod.DEFAULT_TENANT_REFILL,
@@ -486,7 +484,6 @@ def serve(
     async def _amain() -> int:
         manager = JobManager(
             store=store,
-            backend=backend,
             workers=workers,
             tenant_tokens=tenant_tokens,
             tenant_refill=tenant_refill,
@@ -500,7 +497,7 @@ def serve(
         await server.start()
         print(
             f"repro-si serve: listening on http://{host}:{server.port} "
-            f"(backend {manager.backend}, {manager.mode} executor, "
+            f"({manager.mode} executor, "
             f"store {store or 'none'})",
             flush=True,
         )

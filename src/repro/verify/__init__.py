@@ -2,8 +2,8 @@
 
 Three pillars, none imported by the synthesis pipeline itself:
 
-* :mod:`repro.verify.differential` -- runs the staged pipeline once per
-  registered analysis backend (``bitengine`` vs ``reference``, see
+* :mod:`repro.verify.differential` -- runs the staged pipeline once on
+  the production ``bitengine`` and once on the ``reference`` oracle (see
   :mod:`repro.pipeline.backends`) and diffs the claims over randomized
   specifications;
 * :mod:`repro.verify.faults` -- delay storms, single-event upsets and

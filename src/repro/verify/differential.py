@@ -2,9 +2,9 @@
 
 Every region/cover/MC analysis in the synthesis pipeline runs through
 the bitmask engine.  The oracle runs the *same pipeline* twice -- once
-per registered analysis backend (``bitengine`` and ``reference``, see
-:mod:`repro.pipeline.backends`) -- and diffs the typed stage artifacts
-*claim for claim*:
+on the production ``bitengine`` and once on the ``reference`` oracle
+(see :mod:`repro.pipeline.backends`) -- and diffs the typed stage
+artifacts *claim for claim*:
 
 * per-region verdicts (MC satisfiable or not, unique entry),
 * the chosen cube for every satisfied region, including whether it is
@@ -128,16 +128,9 @@ def diff_state_graph(
     budget: Optional[Budget] = None,
     repair_seconds: Optional[float] = 5.0,
     repair_max_states: int = 2_000,
-    jobs: Optional[int] = None,
     store=None,
-    backend: str = "bitengine",
 ) -> DiffRecord:
     """Run both analysis paths over one state graph and diff the claims.
-
-    ``backend`` names the fast path's engine (``"bitengine"`` by
-    default); the reference path is always the retained dictionary
-    semantics, so every registered engine is diffed against the same
-    independent baseline.
 
     ``reference_sg`` may be a *separate* elaboration of the same
     specification so the two paths share no per-graph caches; it
@@ -146,7 +139,7 @@ def diff_state_graph(
 
     ``store`` optionally backs both contexts with a persistent
     :class:`~repro.pipeline.store.ArtifactStore` (MC entries are keyed
-    per backend, so the paths stay independent on disk too).  Note that
+    per engine, so the paths stay independent on disk too).  Note that
     a *warm* store serves previously-persisted verdicts instead of
     re-running the analyses -- point it at a fresh directory when the
     point of the sweep is to exercise both engines.
@@ -167,11 +160,9 @@ def diff_state_graph(
     # Two analysis worlds over ONE budget: nesting the pipelines inside
     # this campaign shares the campaign's clock/state meter, so each
     # wall-clock second and each elaborated state is charged exactly once.
-    fast_pipeline = Pipeline(
-        AnalysisContext(backend=backend, budget=budget, jobs=jobs, store=store)
-    )
+    fast_pipeline = Pipeline(AnalysisContext(budget=budget, store=store))
     reference_pipeline = Pipeline(
-        AnalysisContext(backend="reference", budget=budget, jobs=jobs, store=store)
+        AnalysisContext(backend="reference", budget=budget, store=store)
     )
     record = DiffRecord(name=name or fast_sg.name, states=len(fast_sg.state_list))
     started = time.monotonic()
@@ -245,9 +236,7 @@ def diff_stg(
     repair: bool = True,
     budget: Optional[Budget] = None,
     repair_seconds: Optional[float] = 5.0,
-    jobs: Optional[int] = None,
     store=None,
-    backend: str = "bitengine",
 ) -> DiffRecord:
     """Elaborate a specification twice -- once per path -- and diff."""
     from repro.stg.reachability import ReachabilityError
@@ -268,9 +257,7 @@ def diff_stg(
         repair=repair,
         budget=budget,
         repair_seconds=repair_seconds,
-        jobs=jobs,
         store=store,
-        backend=backend,
     )
 
 
@@ -342,14 +329,9 @@ def differential_campaign(
     max_seconds_each: Optional[float] = 30.0,
     repair_seconds: Optional[float] = 5.0,
     progress: Optional[Callable[[DiffRecord], None]] = None,
-    jobs: Optional[int] = None,
     store=None,
-    backend: str = "bitengine",
 ) -> CampaignReport:
     """Sweep ``count`` randomized specifications through the oracle.
-
-    ``backend`` selects the fast path diffed against the reference
-    semantics (any name registered with :mod:`repro.pipeline.backends`).
 
     The design source, in priority order: explicit ``specs`` (an
     iterable of ``(name, stg)`` pairs); a ``corpus``
@@ -389,9 +371,7 @@ def differential_campaign(
             repair=repair,
             budget=budget,
             repair_seconds=repair_seconds,
-            jobs=jobs,
             store=store,
-            backend=backend,
         )
         report.records.append(record)
         if progress is not None:

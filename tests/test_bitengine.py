@@ -1,15 +1,13 @@
 """The bitmask analysis engine against the dict-based reference semantics.
 
-Three layers of evidence that the packed/bitset fast path computes the
+Two layers of evidence that the packed/bitset fast path computes the
 same thing the plain dictionaries did:
 
 * a hypothesis property test that ``Cube.compile``'s ``(mask, value)``
   evaluator agrees with ``Cube.covers`` on random cubes and codes,
 * per-graph agreement of every engine primitive (packed codes, literal
   bitsets, cube bitsets, successor tables) with the graph's own
-  accessors on the paper figures and the stress generators,
-* end-to-end equivalence of ``analyze_mc(sg, jobs=2)`` with the serial
-  path on all nine Table-1 designs.
+  accessors on the paper figures and the stress generators.
 """
 
 import pytest
@@ -18,9 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench.figures import figure1_sg, figure3_sg
 from repro.corpus import alternator, concurrent_fork, token_ring
-from repro.bench.suite import BENCHMARKS, load_benchmark
 from repro.boolean.cube import Cube
-from repro.core.mc import analyze_mc
 from repro.sg.bitengine import bit_analysis
 from repro.stg.reachability import stg_to_state_graph
 
@@ -125,35 +121,3 @@ def test_bits_roundtrip():
     assert engine.states_of(engine.bits_of(subset)) == subset
     assert engine.states_of(0) == frozenset()
     assert engine.states_of(engine.all_states_bits) == sg.states
-
-
-def _verdict_key(verdict):
-    return (
-        verdict.er.signal,
-        verdict.er.direction,
-        verdict.er.index,
-        verdict.mc_cube,
-        verdict.private,
-        verdict.stuck_stable,
-        verdict.stuck_opposite,
-    )
-
-
-@pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_analyze_mc_jobs_equivalence(name):
-    """jobs=2 returns verdict-for-verdict the same report as serial."""
-    stg = load_benchmark(name)
-    serial = analyze_mc(stg_to_state_graph(stg))
-    threaded = analyze_mc(stg_to_state_graph(stg), jobs=2)
-    assert serial.describe() == threaded.describe()
-    assert [_verdict_key(v) for v in serial.verdicts] == [
-        _verdict_key(v) for v in threaded.verdicts
-    ]
-
-
-@pytest.mark.parametrize("maker,n", [(concurrent_fork, 4), (token_ring, 8)])
-def test_analyze_mc_jobs_equivalence_generators(maker, n):
-    stg = maker(n)
-    serial = analyze_mc(stg_to_state_graph(stg))
-    threaded = analyze_mc(stg_to_state_graph(stg), jobs=3)
-    assert serial.describe() == threaded.describe()

@@ -108,6 +108,14 @@ class TestTable1:
         assert "delement is not speed-independent" in capsys.readouterr().err
         assert main(["table1", "delement", "--no-verify"]) == 0
 
+    def test_unknown_design_is_a_usage_error(self, capsys):
+        assert main(["table1", "delement", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown design(s): nosuch; available: " in captured.err
+        assert "delement" in captured.err.split("available:")[1]
+        assert "running" not in captured.err
+        assert captured.out == ""
+
 
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
@@ -276,33 +284,6 @@ class TestVerifyOracle:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", spec("nowick.g"), "--oracle", "psychic"])
         assert excinfo.value.code == 2
-
-
-class TestCliBackendChoices:
-    def test_unknown_backend_exits_2_listing_names(self, capsys):
-        from repro.pipeline.backends import available_backends
-
-        with pytest.raises(SystemExit) as exc:
-            main(["diff", "--backend", "nosuch"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        for name in available_backends():
-            assert name in err
-
-    def test_every_verb_offers_the_registered_backends(self):
-        from repro.cli import build_parser
-        from repro.pipeline.backends import available_backends
-
-        parser = build_parser()
-        for command in ("info", "synth", "verify", "diff", "table1", "batch"):
-            sub = parser._subparsers._group_actions[0].choices[command]
-            backend_actions = [
-                action
-                for action in sub._actions
-                if "--backend" in action.option_strings
-            ]
-            assert backend_actions, command
-            assert list(backend_actions[0].choices) == available_backends()
 
 
 def test_cli_import_leaves_numpy_unloaded():

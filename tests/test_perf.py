@@ -119,21 +119,6 @@ def test_increment_is_exact_under_thread_contention():
     assert recorder.counters["x"] == 8 * 50_000
 
 
-def test_analyze_mc_counters_independent_of_jobs():
-    from repro.core.mc import analyze_mc
-    from repro.corpus import concurrent_fork
-    from repro.stg.reachability import stg_to_state_graph
-
-    counters = []
-    for jobs in (None, 4):
-        sg = stg_to_state_graph(concurrent_fork(5))  # fresh analysis caches
-        with perf.recording(perf.PerfRecorder()) as recorder:
-            analyze_mc(sg, jobs=jobs)
-        counters.append(recorder.counters)
-    assert counters[0]
-    assert counters[0] == counters[1]
-
-
 def test_sat_search_counters_are_exact_and_once_per_solve(monkeypatch):
     """Pigeonhole 4-into-3: the solver reports its whole search with one
     ``perf.count`` call per counter per ``solve()``."""

@@ -331,24 +331,32 @@ class TestBatchCliResume:
 
 
 # ----------------------------------------------------------------------
-# --jobs validation across verbs (exit 2, loud)
+# count-flag validation across verbs (exit 2, loud)
 # ----------------------------------------------------------------------
 class TestJobsValidation:
     @pytest.mark.parametrize("argv", [
         ["batch", "x.g", "--jobs", "0"],
         ["batch", "x.g", "--jobs", "-2"],
-        ["table1", "--jobs", "0"],
-        ["table1", "--jobs", "-1"],
-        ["info", "x.g", "--jobs", "0"],
-        ["info", "x.g", "--jobs", "banana"],
-        ["synth", "x.g", "--jobs", "0"],
-        ["synth", "x.g", "--jobs", "-3"],
-        ["verify", "x.g", "--jobs", "0"],
-        ["verify", "x.g", "--jobs", "2.5"],
-        ["diff", "--count", "1", "--jobs", "0"],
-        ["diff", "--count", "1", "--jobs", "-1"],
+        ["serve", "--workers", "0"],
+        ["synth", "x.g", "--max-models", "0"],
+        ["synth", "x.g", "--max-models", "-3"],
+        ["batch", "x.g", "--max-models", "0"],
+        ["batch", "x.g", "--max-states", "0"],
+        ["diff", "--max-states", "-1"],
+        ["check", "x.g", "n.json", "--max-states", "0"],
+        ["verify", "x.g", "--budget-states", "-5"],
+        ["verify", "x.g", "--fault-runs", "0"],
+        ["simulate", "x.g", "--runs", "-1"],
+        ["simulate", "x.g", "--events", "0"],
+        ["diff", "--count", "-1"],
+        ["diff", "--count", "banana"],
+        ["serve", "--job-max-states", "0"],
+        ["serve", "--max-queued", "0"],
+        ["serve", "--memo-entries", "0"],
+        ["serve", "--keep-jobs", "0"],
+        ["serve", "--keep-jobs", "2.5"],
     ])
-    def test_non_positive_jobs_rejected(self, argv, capsys):
+    def test_non_positive_counts_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -361,8 +369,20 @@ class TestJobsValidation:
         ["batch", "x.g", "--store-put-rate", "5"],
         ["serve", "--shards", "2"],
         ["serve", "--remote-store", "d"],
+        ["synth", "x.g", "--backend", "reference"],
+        ["info", "x.g", "--jobs", "2"],
+        ["table1", "--jobs", "2"],
+        ["diff", "--backend", "bitengine"],
+        ["serve", "--backend", "bitengine"],
+        ["info", "x.g", "--backend", "reference"],
+        ["verify", "x.g", "--backend", "reference"],
+        ["table1", "--backend", "reference"],
+        ["batch", "x.g", "--backend", "reference"],
+        ["synth", "x.g", "--jobs", "2"],
+        ["verify", "x.g", "--jobs", "2"],
+        ["diff", "--jobs", "2"],
     ])
-    def test_store_layout_flags_are_unknown(self, argv, capsys):
+    def test_removed_flags_are_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -370,13 +390,6 @@ class TestJobsValidation:
 
     def test_jobs_one_accepted(self, capsys):
         assert main(["batch", SPECS[0], "--jobs", "1"]) == 0
-
-    @pytest.mark.parametrize("verb", ["synth", "verify"])
-    def test_fanout_verbs_accept_jobs(self, verb, capsys):
-        assert main([verb, SPECS[0], "--jobs", "2"]) == 0
-
-    def test_diff_accepts_jobs(self, capsys):
-        assert main(["diff", "--count", "1", "--jobs", "2"]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -299,7 +299,7 @@ class TestArtifactStore:
         assert totals["hit"] == 5
 
     def test_shared_store_across_differential(self, tmp_path, fig3):
-        """diff keys MC per backend: paths stay independent on disk."""
+        """diff keys MC per engine: paths stay independent on disk."""
         from repro.verify.differential import diff_state_graph
 
         root = str(tmp_path / "store")
@@ -307,5 +307,5 @@ class TestArtifactStore:
         assert not record.mismatches
         store = ArtifactStore(root)
         entries = os.listdir(os.path.join(root, "mc"))
-        assert len(entries) == 2  # one verdict per backend
+        assert len(entries) == 2  # one verdict each: bitengine, reference
         assert len(store) >= 4

@@ -239,6 +239,11 @@ class TestParseSubmit:
                 {"kind": "table1", "options": {"designs": []}}
             ).encode(),
             json.dumps({"kind": "diff", "options": {"count": 10**6}}).encode(),
+            json.dumps(
+                {"kind": "synth", "spec": "x",
+                 "options": {"backend": "bitengine"}}
+            ).encode(),
+            json.dumps({"kind": "table1", "options": {"jobs": 2}}).encode(),
         ],
     )
     def test_malformed_bodies_are_rejected(self, body):
