@@ -3,14 +3,13 @@
 The paper notes its naive Boolean-program solving could be sped up "by
 several orders of magnitude"; these measurements document where the
 substrate time goes in this implementation: the CDCL solver, the
-two-level minimiser, BDD construction, and state-graph elaboration.
+two-level minimiser, and state-graph elaboration.
 """
 
 import itertools
 
 
 from repro.corpus import concurrent_fork, token_ring
-from repro.boolean.bdd import BDD
 from repro.boolean.minimize import minimize_onset
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
@@ -59,23 +58,6 @@ def test_minimizer_five_variables(benchmark):
     ]
     cover = benchmark(minimize_onset, signals, on)
     assert cover
-
-
-def test_bdd_parity_function(benchmark):
-    """Parity needs an exponential SOP but a linear BDD."""
-    signals = tuple(f"v{i}" for i in range(12))
-
-    def build():
-        bdd = BDD(signals)
-        node = bdd.constant(False)
-        for signal in signals:
-            node = bdd.xor(node, bdd.var(signal))
-        return bdd, node
-
-    bdd, node = benchmark(build)
-    assert bdd.satisfy_count(node) == 2 ** 11
-    # parity has two nodes per level except the bottom one: 2n - 1
-    assert bdd.node_count(node) == 2 * 12 - 1
 
 
 def test_reachability_token_ring(benchmark):

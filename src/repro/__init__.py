@@ -119,19 +119,6 @@ class SynthesisResult:
     def hazard_free(self) -> bool:
         return bool(self.hazard_report and self.hazard_report.hazard_free)
 
-    def to_json(self) -> dict:
-        """Structured artifact (see :mod:`repro.pipeline.serialize`)."""
-        from repro.pipeline.serialize import synthesis_result_to_json
-
-        return synthesis_result_to_json(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SynthesisResult":
-        """Rebuild from :meth:`to_json` output (detached where needed)."""
-        from repro.pipeline.serialize import synthesis_result_from_json
-
-        return synthesis_result_from_json(data)
-
 
 def _run_synthesis(spec, context) -> SynthesisResult:
     """Drive the staged pipeline and package the classic result shape."""

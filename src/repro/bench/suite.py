@@ -95,13 +95,6 @@ class PipelineResult:
 
         return pipeline_result_to_json(self)
 
-    @classmethod
-    def from_json(cls, data: Dict) -> "PipelineResult":
-        """Rebuild a comparable row from :meth:`to_json` output."""
-        from repro.pipeline.serialize import pipeline_result_from_json
-
-        return pipeline_result_from_json(data)
-
 
 def unknown_designs_error(names: Iterable[str]) -> Optional[str]:
     """The usage error for ``names`` that are not Table-1 designs, or None."""
@@ -205,25 +198,40 @@ def update_pipeline_json(
 
     ``BENCH_pipeline.json`` is the cross-PR perf record: each harness
     owns one top-level section (``hotpath`` from
-    ``benchmarks/bench_hotpath.py``, ``table1`` from this suite,
-    ``scaling`` from ``benchmarks/bench_scaling.py``) and updates it in
-    place, leaving the others untouched so trajectories accumulate.
-    Returns the path written.
+    ``benchmarks/bench_hotpath.py``, ``table1`` from this suite, and one
+    per ``benchmarks/bench_*.py`` script) and replaces only that
+    section, leaving the others untouched so trajectories and frozen
+    baselines accumulate.  A missing file starts a fresh document; an
+    existing file that is not a JSON object raises :class:`ValueError`
+    and is left as it is.  The new document is written to a temporary
+    file in the same directory and ``os.replace``-d into place, so an
+    interrupted run never truncates the record.  Returns the path
+    written.
     """
     document = {"schema": PIPELINE_JSON_SCHEMA}
     if os.path.exists(path):
         try:
             with open(path) as handle:
                 existing = json.load(handle)
-            if isinstance(existing, dict):
-                document.update(existing)
-        except (OSError, ValueError):
-            pass  # unreadable trajectory: start a fresh one
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(existing, dict):
+            raise ValueError(f"{path}: not a JSON object")
+        document.update(existing)
     document["schema"] = PIPELINE_JSON_SCHEMA
     document[section] = payload
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        f".{os.path.basename(path)}.tmp-{os.getpid()}",
+    )
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return path
 
 

@@ -17,7 +17,6 @@ The synthesis core (:mod:`repro.core`) expresses every excitation function
 as a :class:`Cover` whose cubes are monotonous covers of excitation regions.
 """
 
-from repro.boolean.bdd import BDD
 from repro.boolean.compiled import CompiledCover, CompiledCube, SignalSpace
 from repro.boolean.cube import Cube
 from repro.boolean.cover import Cover
@@ -25,7 +24,6 @@ from repro.boolean.minimize import minimize_onset
 from repro.boolean.sop import format_cube, format_cover, format_equation
 
 __all__ = [
-    "BDD",
     "CompiledCover",
     "CompiledCube",
     "Cube",

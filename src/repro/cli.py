@@ -530,7 +530,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
         )
     print(format_table1(results))
     if args.json:
-        path = write_pipeline_json(results, args.json)
+        try:
+            path = write_pipeline_json(results, args.json)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot write pipeline metrics: {exc}") from exc
         print(f"pipeline metrics written to {path}", file=sys.stderr)
     problems = _table1_problems(results, verify=not args.no_verify)
     for problem in problems:

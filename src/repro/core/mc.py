@@ -127,13 +127,6 @@ class MCReport:
 
         return mc_report_to_json(self)
 
-    @classmethod
-    def from_json(cls, data: Dict) -> "MCReport":
-        """Rebuild a comparable report from :meth:`to_json` output."""
-        from repro.pipeline.serialize import mc_report_from_json
-
-        return mc_report_from_json(data)
-
 
 def _classify_stuck(
     sg: StateGraph, er: ExcitationRegion, outside: FrozenSet[State]

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.boolean.compiled import CompiledCover, SignalSpace
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.sop import format_cover, format_cube
@@ -86,14 +85,6 @@ class SignalNetwork:
     def is_wire(self) -> bool:
         return self.wire_source is not None
 
-    def compiled_set_cover(self, space: "SignalSpace") -> "CompiledCover":
-        """The set (up-excitation) cover in the shared compiled IR."""
-        return self.set_cover.compiled(space)
-
-    def compiled_reset_cover(self, space: "SignalSpace") -> "CompiledCover":
-        """The reset (down-excitation) cover in the shared compiled IR."""
-        return self.reset_cover.compiled(space)
-
     def equations(self) -> List[str]:
         wire = self.wire_source
         if wire is not None:
@@ -118,23 +109,6 @@ class Implementation:
 
     def network(self, signal: str) -> SignalNetwork:
         return self.networks[signal]
-
-    @property
-    def space(self) -> SignalSpace:
-        """The interned signal space of the implemented state graph --
-        the space every network's compiled covers resolve against."""
-        return SignalSpace.of(tuple(self.sg.signals))
-
-    def compiled_network_covers(
-        self, signal: str
-    ) -> Tuple[CompiledCover, CompiledCover]:
-        """``(set, reset)`` covers of one signal in the compiled IR."""
-        network = self.networks[signal]
-        space = self.space
-        return (
-            network.compiled_set_cover(space),
-            network.compiled_reset_cover(space),
-        )
 
     def equations(self) -> str:
         lines: List[str] = []

@@ -74,11 +74,6 @@ class PerfRecorder:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + amount
 
-    def reset(self) -> None:
-        self.phases.clear()
-        self.phase_calls.clear()
-        self.counters.clear()
-
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Dict]:
         """Machine-readable snapshot (the BENCH_pipeline.json payload)."""

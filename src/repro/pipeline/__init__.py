@@ -13,8 +13,8 @@ campaigns) is a :class:`Pipeline` run over a shared
   profiling for one analysis world;
 * :mod:`repro.pipeline.backends` -- the production ``bitengine`` and
   the ``reference`` oracle that differential checks diff it against;
-* :mod:`repro.pipeline.serialize` -- shared JSON round-tripping of
-  result artifacts and the faithful stage-artifact codecs;
+* :mod:`repro.pipeline.serialize` -- one-way JSON encoders of result
+  artifacts and the faithful stage-artifact codecs;
 * :mod:`repro.pipeline.store` -- the content-addressed persistent
   artifact store backing :class:`AnalysisContext` memo caches on disk;
 * :mod:`repro.pipeline.batch` -- corpus-level batch synthesis over a

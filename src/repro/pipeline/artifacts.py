@@ -123,9 +123,6 @@ class RegionMap:
     #: (see pipeline/incremental.py); equal digest = identical ER list
     signal_fingerprints: Tuple[Tuple[str, str], ...] = ()
 
-    def of_signal(self, signal: str) -> Tuple[ExcitationRegion, ...]:
-        return tuple(er for er in self.regions if er.signal == signal)
-
     def __len__(self) -> int:
         return len(self.regions)
 

@@ -1,102 +1,48 @@
-"""Shared JSON round-tripping for pipeline result artifacts.
+"""JSON codecs for pipeline artifacts.
 
-``SynthesisResult`` (the library's end-to-end outcome),
-``PipelineResult`` (the Table-1 harness row) and ``MCReport`` (the
-per-region MC analysis) all serialise through this module, so
-``repro-si diff --json``, ``BENCH_pipeline.json`` and
-``benchmarks/check_regression.py`` compare *structured artifacts* with a
-single schema instead of ad-hoc dicts.
+Two result-level encoders feed reports and comparisons:
+:func:`mc_report_to_json` (schema ``repro-mc-report/1``, every claim an
+:class:`~repro.core.mc.MCReport` makes; ``repro-si diff --table1``
+compares two engines through it) and :func:`pipeline_result_to_json`
+(one Table-1 row, the ``table1`` section row schema of
+``BENCH_pipeline.json``).  Both are one-way: nothing decodes them.
 
-The contract is a stable round-trip::
-
-    X.from_json(x.to_json()).to_json() == x.to_json()
-
-Reconstruction is faithful where the repo has a full interchange format
-(state graphs via :mod:`repro.sg.io`, netlists via
-:mod:`repro.netlist.io`) and *detached* where it does not: a detached
-stand-in carries exactly the serialised facts (equations text, hazard
-verdict, inserted-signal names) and re-serialises identically, but does
-not pretend to be re-runnable.
-
-A second family of codecs (:func:`stage_artifact_to_json` /
-:func:`stage_artifact_from_json`) serialises the five *pipeline stage
+The stage codecs (:func:`stage_artifact_to_json` /
+:func:`stage_artifact_from_json`) serialise the five *pipeline stage
 artifacts* for the persistent artifact store
-(:mod:`repro.pipeline.store`).  Unlike the detached result codecs these
-round-trips are **faithful**: a loaded artifact must be able to drive
-every downstream stage to byte-identical results, so excitation-region
-state sets, MC diagnostics, cover ordering and degenerate flags are all
-preserved exactly.  Cubes inside stage payloads are stored in the
-compiled IR form -- a ``[mask, value]`` big-int pair resolved against
-the embedded state graph's signal order (store envelope
-``repro-artifact-store/4``, which also carries the per-signal and
-per-function fingerprints backing delta re-synthesis; older envelopes
-are no longer read, old entries degrade to counted misses).  The only intentionally detached piece is the hazard
-report inside a loaded ``SynthesizedNetlist`` (the final stage -- no
-downstream stage consumes it, only its verdict is kept).  State ids may
-be strings, ints or arbitrarily nested tuples thereof (state-signal
-insertion produces ``(state, phase)`` pairs); artifacts using any other
-id type raise :class:`ArtifactCodingError`, which the store treats as
-"do not persist", never as an error.
+(:mod:`repro.pipeline.store`).  These round-trips are **faithful**: a
+loaded artifact must be able to drive every downstream stage to
+byte-identical results, so excitation-region state sets, MC
+diagnostics, cover ordering and degenerate flags are all preserved
+exactly.  Cubes inside stage payloads are stored in the compiled IR
+form -- a ``[mask, value]`` big-int pair resolved against the embedded
+state graph's signal order.
+
+The store envelope is ``repro-artifact-store/4``; it also carries the
+per-signal and per-function fingerprints backing delta re-synthesis.
+Older envelopes are no longer read: old entries degrade to counted
+``corrupt`` misses.
+
+The only intentionally detached piece is the hazard report inside a
+loaded ``SynthesizedNetlist`` (the final stage -- no downstream stage
+consumes it, only its verdict is kept).  State ids may be strings, ints
+or arbitrarily nested tuples thereof (state-signal insertion produces
+``(state, phase)`` pairs); artifacts using any other id type raise
+:class:`ArtifactCodingError`, which the store treats as "do not
+persist", never as an error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 # ----------------------------------------------------------------------
-# Detached stand-ins (duck-typed against the real result classes)
+# Detached hazard verdict (duck-typed against HazardReport)
 # ----------------------------------------------------------------------
-class _Sized:
-    """A state-graph stand-in knowing only its name and state count."""
-
-    def __init__(self, name: str, states: int = 0):
-        self.name = name
-        self._states = states
-
-    def __len__(self) -> int:
-        return self._states
-
-    @property
-    def state_list(self) -> Tuple[None, ...]:
-        return (None,) * self._states
-
-
-@dataclass
-class DetachedInsertion:
-    """Serialised view of an :class:`repro.core.insertion.InsertionResult`."""
-
-    sg: object
-    report: object
-    added_signals: List[str] = field(default_factory=list)
-
-    @property
-    def satisfied(self) -> bool:
-        return self.report.satisfied
-
-    def describe(self) -> str:
-        if not self.added_signals:
-            return "no state signals inserted"
-        return f"{len(self.added_signals)} state signal(s) inserted: " + ", ".join(
-            self.added_signals
-        )
-
-
-@dataclass
-class DetachedImplementation:
-    """Serialised view of a :class:`repro.core.synthesis.Implementation`."""
-
-    equations_text: str
-    shared: bool = False
-    method: str = "mc"
-
-    def equations(self) -> str:
-        return self.equations_text
-
-
 @dataclass
 class _DetachedComposition:
     """Composition stand-in: just the facts the CLI verdict logic reads."""
@@ -182,19 +128,6 @@ def _cube_to_json(cube) -> Optional[Dict[str, int]]:
     return {signal: value for signal, value in sorted(cube.literals)}
 
 
-def _parse_transition_name(name: str):
-    from repro.sg.regions import ExcitationRegion
-
-    head, index = name.rsplit("/", 1)
-    signal, sign = head[:-1], head[-1]
-    return ExcitationRegion(
-        signal=signal,
-        direction=1 if sign == "+" else -1,
-        index=int(index),
-        states=frozenset(),
-    )
-
-
 def mc_report_to_json(report) -> Dict:
     """Schema ``repro-mc-report/1``: every claim the report makes."""
     verdicts = []
@@ -218,96 +151,9 @@ def mc_report_to_json(report) -> Dict:
     }
 
 
-def mc_report_from_json(data: Dict):
-    """Rebuild a comparable :class:`~repro.core.mc.MCReport`.
-
-    Excitation regions come back with their identity (signal, direction,
-    occurrence index) but empty state sets -- state membership is not
-    part of the serialised claims.
-    """
-    from repro.boolean.cube import Cube
-    from repro.core.mc import MCReport, RegionVerdict
-
-    verdicts = []
-    for entry in data["verdicts"]:
-        cube = None if entry["cube"] is None else Cube(dict(entry["cube"]))
-        verdicts.append(
-            RegionVerdict(
-                er=_parse_transition_name(entry["region"]),
-                cfr=frozenset(),
-                unique_entry=entry["unique_entry"],
-                mc_cube=cube,
-                group=tuple(
-                    _parse_transition_name(name) for name in entry["group"]
-                ),
-                private=entry["private"],
-                stuck_stable=frozenset(entry["stuck_stable"]),
-                stuck_opposite=frozenset(entry["stuck_opposite"]),
-            )
-        )
-    return MCReport(sg=_Sized(data["name"]), verdicts=verdicts)
-
-
-# ----------------------------------------------------------------------
-# SynthesisResult
-# ----------------------------------------------------------------------
-def synthesis_result_to_json(result) -> Dict:
-    """Schema ``repro-synthesis-result/1``: the full end-to-end outcome."""
-    import json as _json
-
-    from repro.netlist.io import netlist_to_json
-    from repro.sg import io as sg_io
-
-    return {
-        "schema": "repro-synthesis-result/1",
-        "spec": sg_io.dumps(result.spec),
-        "added_signals": list(result.insertion.added_signals),
-        "mc_report": mc_report_to_json(result.insertion.report),
-        "equations": result.implementation.equations(),
-        "shared": result.implementation.shared,
-        "method": result.implementation.method,
-        "netlist": _json.loads(netlist_to_json(result.netlist)),
-        "hazard": _hazard_to_json(result.hazard_report),
-    }
-
-
-def synthesis_result_from_json(data: Dict):
-    """Rebuild a :class:`repro.SynthesisResult` (detached where needed)."""
-    import json as _json
-
-    import repro
-    from repro.netlist.io import netlist_from_json
-    from repro.sg import io as sg_io
-
-    spec = sg_io.loads(data["spec"])
-    report = mc_report_from_json(data["mc_report"])
-    return repro.SynthesisResult(
-        spec=spec,
-        insertion=DetachedInsertion(
-            sg=spec, report=report, added_signals=list(data["added_signals"])
-        ),
-        implementation=DetachedImplementation(
-            equations_text=data["equations"],
-            shared=data["shared"],
-            method=data["method"],
-        ),
-        netlist=netlist_from_json(_json.dumps(data["netlist"])),
-        hazard_report=_hazard_from_json(data["hazard"]),
-    )
-
-
 # ----------------------------------------------------------------------
 # PipelineResult (the Table-1 harness row)
 # ----------------------------------------------------------------------
-class _DetachedInterface:
-    """An STG stand-in knowing only its name and interface sizes."""
-
-    def __init__(self, name: str, inputs: int, outputs: int):
-        self.name = name
-        self.inputs = tuple(f"in{i}" for i in range(inputs))
-        self.non_inputs = tuple(f"out{i}" for i in range(outputs))
-
-
 def pipeline_result_to_json(result) -> Dict:
     """One Table-1 row; exactly the ``table1`` section row schema of
     ``BENCH_pipeline.json`` (key-compatible with frozen baselines)."""
@@ -335,35 +181,6 @@ def pipeline_result_to_json(result) -> Dict:
     if result.reuse is not None:
         row["reuse"] = result.reuse
     return row
-
-
-def pipeline_result_from_json(data: Dict):
-    """Rebuild a comparable :class:`repro.bench.suite.PipelineResult`."""
-    from repro.bench.suite import PipelineResult
-
-    hazard = None
-    if data["hazard_free"] is not None:
-        hazard = DetachedHazardReport(
-            hazard_free=data["hazard_free"],
-            conflicts=0,
-            truncated=False,
-            circuit_states=0,
-        )
-    return PipelineResult(
-        name=data["name"],
-        stg=_DetachedInterface(data["name"], data["inputs"], data["outputs"]),
-        spec_sg=_Sized(data["name"], data["spec_states"]),
-        insertion=DetachedInsertion(
-            sg=_Sized(data["name"], data["final_states"]),
-            report=None,
-            added_signals=[f"x{i}" for i in range(data["added_signals"])],
-        ),
-        implementation=None,
-        hazard_report=hazard,
-        elapsed_seconds=data["elapsed_seconds"],
-        profile=data.get("profile"),
-        reuse=data.get("reuse"),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +317,7 @@ def _cube_from_packed(data, space):
 
 
 def _mc_report_to_full_json(report, space) -> Dict:
-    """Every verdict with its *full* state sets (unlike the detached
+    """Every verdict with its *full* state sets (unlike the claims-only
     :func:`mc_report_to_json`): loaded reports must be able to drive the
     insertion engine and the synthesiser exactly like fresh ones.  MC
     cubes are stored compiled (``[mask, value]`` against ``space``)."""
@@ -829,18 +646,12 @@ def fingerprint_file(path: str) -> str:
 __all__ = [
     "ArtifactCodingError",
     "DetachedHazardReport",
-    "DetachedImplementation",
-    "DetachedInsertion",
     "STAGE_CODECS",
     "canonical_json",
     "fingerprint_document",
     "fingerprint_file",
-    "mc_report_from_json",
     "mc_report_to_json",
-    "pipeline_result_from_json",
     "pipeline_result_to_json",
     "stage_artifact_from_json",
     "stage_artifact_to_json",
-    "synthesis_result_from_json",
-    "synthesis_result_to_json",
 ]

@@ -136,9 +136,6 @@ class BitEngine:
             self._ones_bits[position] = ones
         return ones if value else self.all_states_bits ^ ones
 
-    def signal_bits(self, signal: str, value: int) -> int:
-        return self.literal_bits(self.sg.signal_position(signal), value)
-
     def cube_bits(self, cube: Cube) -> int:
         """Bitset of all states covered by ``cube``."""
         self.cube_evals += 1

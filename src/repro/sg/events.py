@@ -49,10 +49,6 @@ class SignalEvent:
 
     # ------------------------------------------------------------------
     @property
-    def is_rising(self) -> bool:
-        return self.direction == 1
-
-    @property
     def value_before(self) -> int:
         """The signal value in states where this event is enabled."""
         return 0 if self.direction == 1 else 1

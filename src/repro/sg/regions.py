@@ -52,20 +52,6 @@ class ExcitationRegion:
         return f"ER({self.transition_name}, {len(self.states)} states)"
 
 
-def _weak_components(sg: StateGraph, states: Set[State]) -> List[Set[State]]:
-    """Weakly connected components of the subgraph induced on ``states``.
-
-    Delegates to the bitmask engine: the flood fill runs on adjacency
-    bitsets (one big-int OR per member state) instead of per-arc Python
-    set operations.
-    """
-    engine = bit_analysis(sg)
-    return [
-        set(engine.states_of(component))
-        for component in engine.weak_components(engine.bits_of(states))
-    ]
-
-
 def _bfs_order(sg: StateGraph) -> Dict[State, int]:
     """Deterministic BFS discovery order from the initial state (cached)."""
     cached = sg._analysis_cache.get("bfs_order")
@@ -145,11 +131,6 @@ def _stable_bits(sg: StateGraph, signal: str, value: int) -> int:
     engine = bit_analysis(sg)
     at_value = engine.literal_bits(sg.signal_position(signal), value)
     return at_value & ~engine.excited_bits(signal) & engine.all_states_bits
-
-
-def _stable_states(sg: StateGraph, signal: str, value: int) -> Set[State]:
-    engine = bit_analysis(sg)
-    return set(engine.states_of(_stable_bits(sg, signal, value)))
 
 
 def quiescent_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:

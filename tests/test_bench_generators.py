@@ -24,8 +24,9 @@ class TestTokenRing:
         assert len(sg) == 4 * n
         assert is_output_semi_modular(sg)
 
-    def test_mc_clean(self):
-        assert analyze_mc(stg_to_state_graph(token_ring(3))).satisfied
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    def test_mc_clean(self, n):
+        assert analyze_mc(stg_to_state_graph(token_ring(n))).satisfied
 
     def test_structural(self):
         stg = token_ring(4)
@@ -47,8 +48,9 @@ class TestConcurrentFork:
         # the diamond of n concurrent handshakes appears in the count
         assert len(sg) >= 2 ** n
 
-    def test_mc_clean(self):
-        assert analyze_mc(stg_to_state_graph(concurrent_fork(3))).satisfied
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mc_clean(self, n):
+        assert analyze_mc(stg_to_state_graph(concurrent_fork(n))).satisfied
 
     def test_free_choice(self):
         assert is_free_choice(concurrent_fork(3).net)
@@ -69,12 +71,14 @@ class TestAlternator:
         sg = stg_to_state_graph(alternator(2))
         assert not analyze_mc(sg).satisfied
 
-    def test_two_way_matches_luciano(self):
+    @pytest.mark.parametrize("n,expected_signals", [(2, 1), (3, 2)])
+    def test_inserted_signal_count(self, n, expected_signals):
+        """Two ways match luciano (one signal); three ways need two."""
         from repro.core.insertion import insert_state_signals
 
-        sg = stg_to_state_graph(alternator(2))
+        sg = stg_to_state_graph(alternator(n))
         result = insert_state_signals(sg, max_models=400)
-        assert len(result.added_signals) == 1
+        assert len(result.added_signals) == expected_signals
 
     def test_rejects_one_way(self):
         with pytest.raises(ValueError):

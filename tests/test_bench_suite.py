@@ -1,5 +1,7 @@
 """Tests for the Table-1 benchmark suite and the pipeline driver."""
 
+import json
+
 import pytest
 
 from repro.bench.suite import (
@@ -9,6 +11,7 @@ from repro.bench.suite import (
     paper_row,
     run_pipeline,
     run_table1,
+    update_pipeline_json,
 )
 from repro.sg.properties import is_output_semi_modular
 from repro.stg.reachability import stg_to_state_graph
@@ -64,3 +67,27 @@ class TestFormatting:
         assert "delement" in table
         assert "luciano" in table
         assert "paper" in table.splitlines()[0]
+
+
+class TestUpdatePipelineJson:
+    @pytest.mark.parametrize(
+        "content", [b'{"hotpath": {"frozen": [1, 2', b"[1, 2]\n"]
+    )
+    def test_unreadable_file_raises_and_is_kept(self, tmp_path, content):
+        path = tmp_path / "BENCH_pipeline.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="BENCH_pipeline.json"):
+            update_pipeline_json("table1", [], path=str(path))
+        assert path.read_bytes() == content
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_update_keeps_other_sections(self, tmp_path):
+        path = tmp_path / "BENCH_pipeline.json"
+        update_pipeline_json("hotpath", {"frozen": [1, 2]}, path=str(path))
+        update_pipeline_json("hazard-sim", {"ratio": 3.5}, path=str(path))
+        update_pipeline_json("table1", [{"name": "delement"}], path=str(path))
+        document = json.loads(path.read_text())
+        assert document["hotpath"] == {"frozen": [1, 2]}
+        assert document["hazard-sim"] == {"ratio": 3.5}
+        assert document["table1"] == [{"name": "delement"}]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

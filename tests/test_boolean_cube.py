@@ -1,8 +1,24 @@
 """Unit tests for the cube algebra."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.boolean.cube import Cube
+
+SIGNALS = ("a", "b", "c")
+POINTS = [dict(zip(SIGNALS, bits)) for bits in itertools.product((0, 1), repeat=3)]
+
+cube_strategy = st.dictionaries(
+    st.sampled_from(SIGNALS), st.integers(0, 1), max_size=3
+).map(Cube)
+
+
+def covered_points(cube):
+    """Indices into ``POINTS`` of every point ``cube`` covers."""
+    return {i for i, point in enumerate(POINTS) if cube.covers(point)}
 
 
 class TestConstruction:
@@ -101,6 +117,25 @@ class TestAlgebra:
     def test_distance(self):
         assert Cube({"a": 1, "b": 0}).distance(Cube({"a": 0, "b": 1})) == 2
         assert Cube({"a": 1}).distance(Cube({"b": 1})) == 0
+
+
+class TestAgainstPoints:
+    """Containment and intersection checked point by point over 2**3."""
+
+    @given(cube_strategy, cube_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_containment_matches(self, x, y):
+        assert x.contains(y) == (covered_points(y) <= covered_points(x))
+
+    @given(cube_strategy, cube_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_intersection_matches(self, x, y):
+        both = x.intersect(y)
+        common = covered_points(x) & covered_points(y)
+        if both is None:
+            assert not common
+        else:
+            assert covered_points(both) == common
 
 
 class TestDunder:

@@ -108,6 +108,14 @@ class TestTable1:
         assert "delement is not speed-independent" in capsys.readouterr().err
         assert main(["table1", "delement", "--no-verify"]) == 0
 
+    def test_unreadable_json_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_pipeline.json"
+        path.write_bytes(b'{"hotpath": ')
+        args = ["table1", "delement", "--no-verify", "--json", str(path)]
+        assert main(args) == 2
+        assert "cannot write pipeline metrics" in capsys.readouterr().err
+        assert path.read_bytes() == b'{"hotpath": '
+
     def test_unknown_design_is_a_usage_error(self, capsys):
         assert main(["table1", "delement", "nosuch"]) == 2
         captured = capsys.readouterr()

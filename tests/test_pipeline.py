@@ -243,30 +243,12 @@ class TestBudgetCapCacheIsolation:
 # JSON round-trips (shared serialization layer)
 # ----------------------------------------------------------------------
 class TestJsonRoundTrip:
-    def test_mc_report_round_trip(self, fig4):
-        from repro.core.mc import MCReport, analyze_mc
+    def test_mc_report_json_records_verdict(self, fig4):
+        from repro.core.mc import analyze_mc
 
-        report = analyze_mc(fig4)
-        data = report.to_json()
-        assert MCReport.from_json(data).to_json() == data
+        data = analyze_mc(fig4).to_json()
+        assert data["schema"] == "repro-mc-report/1"
         assert data["satisfied"] is False
-
-    def test_synthesis_result_round_trip(self, component_result):
-        result = component_result("mutex_free_merge")
-        data = result.to_json()
-        rebuilt = SynthesisResult.from_json(data)
-        assert rebuilt.to_json() == data
-        assert rebuilt.hazard_free == result.hazard_free
-        assert list(rebuilt.added_signals) == list(result.added_signals)
-
-    def test_pipeline_result_round_trip(self, pipeline):
-        from repro.bench.suite import PipelineResult
-
-        result = pipeline("delement", verify=True)
-        data = result.to_json()
-        rebuilt = PipelineResult.from_json(data)
-        assert rebuilt.to_json() == data
-        assert rebuilt.row == result.row
 
     def test_table1_payload_uses_structured_rows(self, pipeline):
         from repro.bench.suite import table1_payload
