@@ -33,7 +33,7 @@ from repro.pipeline.core import PipelineSpec
 from repro.stg.invariants import is_consistent_net
 from repro.stg.reachability import ReachabilityError, explore
 from repro.stg.stg import STG
-from repro.stg.structural import is_free_choice
+from repro.stg.structural import is_free_choice, is_live_marking_graph
 from repro.stg.writer import dumps_g
 
 #: Large primes decorrelating per-candidate random streams from the
@@ -132,6 +132,10 @@ def admission_failure(stg: STG, spec: CorpusSpec) -> Optional[str]:
     Checks run cheapest-first; the live/safe exploration reuses
     :mod:`repro.stg.reachability` directly so cap overruns, safeness
     violations and inconsistent state assignments are reported apart.
+    Liveness is decided on the explored marking graph: it is live iff
+    every bottom strongly connected component fires every transition
+    (Murata, *Petri nets: properties, analysis and applications*,
+    Proc. IEEE 1989), one linear Tarjan pass.
     """
     admission = spec.admission
     net = stg.net
@@ -149,24 +153,7 @@ def admission_failure(stg: STG, spec: CorpusSpec) -> Optional[str]:
             if "state assignment" in message:
                 return "inconsistent-assignment"
             return "unsafe"
-        successors: Dict[object, List[object]] = {m: [] for m in order}
-        fired_at: Dict[object, set] = {m: set() for m in order}
-        for source, transition, target in arcs:
-            successors[source].append(target)
-            fired_at[source].add(transition)
-        all_transitions = set(net.transitions)
-        can_fire = {m: set(fired_at[m]) for m in order}
-        changed = True
-        while changed:
-            changed = False
-            for marking in order:
-                merged = set(can_fire[marking])
-                for target in successors[marking]:
-                    merged |= can_fire[target]
-                if merged != can_fire[marking]:
-                    can_fire[marking] = merged
-                    changed = True
-        if any(can_fire[m] != all_transitions for m in order):
+        if not is_live_marking_graph(order, arcs, net.transitions):
             return "not-live"
     return None
 

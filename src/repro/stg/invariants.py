@@ -13,15 +13,15 @@ Classic linear-algebraic net theory over the incidence matrix ``C``
   and the token count of an S-invariant bounds the marking (safeness
   evidence).
 
-The kernels are computed exactly over the rationals (Fraction-based
-Gaussian elimination -- no float error), then scaled to integer basis
-vectors.
+The kernels are computed by fraction-free integer elimination: exact
+(no float error, no rational arithmetic), and the same primitive basis
+as rational Gauss–Jordan -- each vector is the reduced row echelon
+form's free-column vector scaled to coprime integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from repro.stg.petrinet import PetriNet
@@ -43,9 +43,18 @@ def incidence_matrix(
     return places, transitions, matrix
 
 
-def _kernel_basis(matrix: List[List[int]]) -> List[List[Fraction]]:
-    """A basis of the right kernel of ``matrix`` over the rationals."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
+def _kernel_basis(matrix: List[List[int]]) -> List[List[int]]:
+    """An integer basis of the right kernel of ``matrix``.
+
+    Gauss–Jordan elimination without fractions: pivots are chosen as the
+    rational elimination chooses them (column by column, the first row
+    with a non-zero entry), other rows are cross-multiplied against the
+    pivot row and divided by their gcd.  Every row therefore stays a
+    non-zero multiple of its reduced-row-echelon counterpart, and each
+    free column's vector -- scaled by the lcm of the pivot magnitudes --
+    is a positive multiple of the RREF kernel vector.
+    """
+    rows = [list(row) for row in matrix]
     cols = len(rows[0]) if rows else 0
     pivots: Dict[int, int] = {}  # column -> row index
     row_index = 0
@@ -58,39 +67,39 @@ def _kernel_basis(matrix: List[List[int]]) -> List[List[Fraction]]:
         if pivot_row is None:
             continue
         rows[row_index], rows[pivot_row] = rows[pivot_row], rows[row_index]
-        pivot_value = rows[row_index][col]
-        rows[row_index] = [v / pivot_value for v in rows[row_index]]
-        for r in range(len(rows)):
-            if r != row_index and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[row_index])
-                ]
+        pivot = rows[row_index]
+        pivot_value = pivot[col]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != row_index and factor != 0:
+                combined = [pivot_value * a - factor * b for a, b in zip(row, pivot)]
+                divisor = gcd(*combined)
+                if divisor > 1:
+                    combined = [v // divisor for v in combined]
+                rows[r] = combined
         pivots[col] = row_index
         row_index += 1
-    free_columns = [c for c in range(cols) if c not in pivots]
-    basis: List[List[Fraction]] = []
-    for free in free_columns:
-        vector = [Fraction(0)] * cols
-        vector[free] = Fraction(1)
+    scale = 1
+    for col, row in pivots.items():
+        scale = lcm(scale, rows[row][col])
+    basis: List[List[int]] = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vector = [0] * cols
+        vector[free] = scale
         for col, row in pivots.items():
-            vector[col] = -rows[row][free]
+            vector[col] = -rows[row][free] * (scale // rows[row][col])
         basis.append(vector)
     return basis
 
 
-def _to_integer(vector: Sequence[Fraction]) -> List[int]:
-    denominators = [v.denominator for v in vector]
-    multiple = 1
-    for d in denominators:
-        multiple = multiple * d // gcd(multiple, d)
-    scaled = [int(v * multiple) for v in vector]
-    divisor = 0
-    for v in scaled:
-        divisor = gcd(divisor, abs(v))
+def _to_integer(vector: Sequence[int]) -> List[int]:
+    """The primitive vector on ``vector``'s ray: divided by its gcd."""
+    divisor = gcd(*vector)
     if divisor > 1:
-        scaled = [v // divisor for v in scaled]
-    return scaled
+        return [v // divisor for v in vector]
+    return list(vector)
 
 
 def t_invariants(net: PetriNet) -> List[Dict[str, int]]:

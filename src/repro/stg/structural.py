@@ -8,12 +8,13 @@
   unique input place of each of them -- choices are "clean".
 * **Live and safe** (on the explored reachability graph): every
   transition remains fireable from every reachable marking, and no
-  firing ever violates 1-safeness.
+  firing ever violates 1-safeness.  Liveness is one linear pass over
+  the marking graph's bottom strongly connected components.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
+from typing import AbstractSet, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.stg.petrinet import PetriNet
 from repro.stg.stg import STG
@@ -42,9 +43,10 @@ def is_live_and_safe(stg: STG, max_states: int = 200_000) -> bool:
     """Liveness + safeness over the explored reachability graph.
 
     Safeness is enforced by exploration itself (unsafe nets raise).
-    Liveness here is the practical check for cyclic specifications: from
-    every reachable marking, every transition of the net can eventually
-    fire.
+    Liveness is decided by :func:`is_live_marking_graph`: a finite
+    marking graph is live iff every bottom strongly connected component
+    fires every transition (Murata, *Petri nets: properties, analysis
+    and applications*, Proc. IEEE 1989).
     """
     from repro.stg.reachability import ReachabilityError, explore
 
@@ -52,24 +54,85 @@ def is_live_and_safe(stg: STG, max_states: int = 200_000) -> bool:
         order, _, arcs = explore(stg, max_states=max_states)
     except ReachabilityError:
         return False
+    return is_live_marking_graph(order, arcs, stg.net.transitions)
 
-    successors: Dict[FrozenSet[str], List[FrozenSet[str]]] = {m: [] for m in order}
-    fired_at: Dict[FrozenSet[str], Set[str]] = {m: set() for m in order}
+
+def is_live_marking_graph(
+    order: Mapping[Hashable, int],
+    arcs: Iterable[Tuple[Hashable, str, Hashable]],
+    transitions: AbstractSet[str],
+) -> bool:
+    """Every transition stays fireable from every marking of the graph.
+
+    ``order`` maps each marking to a dense index and ``arcs`` lists
+    ``(marking, transition, marking')``, as
+    :func:`~repro.stg.reachability.explore` returns them.
+    A finite marking graph is live iff every bottom strongly connected
+    component (one no arc leaves) fires every transition (Murata 1989).
+    One iterative Tarjan pass finds the components in linear time; a
+    marking without successors is a bottom component firing nothing,
+    which is live only for a net without transitions.
+    """
+    everything = set(transitions)
+    count = len(order)
+    successors: List[List[int]] = [[] for _ in range(count)]
+    fired: List[List[str]] = [[] for _ in range(count)]
     for source, transition, target in arcs:
-        successors[source].append(target)
-        fired_at[source].add(transition)
+        i = order[source]
+        successors[i].append(order[target])
+        fired[i].append(transition)
 
-    all_transitions = set(stg.net.transitions)
-    # backward fixpoint: can_fire[m] = transitions fireable now or later
-    can_fire = {m: set(fired_at[m]) for m in order}
-    changed = True
-    while changed:
-        changed = False
-        for marking in order:
-            merged = set(can_fire[marking])
-            for target in successors[marking]:
-                merged |= can_fire[target]
-            if merged != can_fire[marking]:
-                can_fire[marking] = merged
-                changed = True
-    return all(can_fire[m] == all_transitions for m in order)
+    index = [-1] * count
+    low = [0] * count
+    component = [-1] * count
+    stack: List[int] = []
+    counter = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        calls = [(root, 0)]
+        while calls:
+            node, position = calls[-1]
+            edges = successors[node]
+            if position < len(edges):
+                calls[-1] = (node, position + 1)
+                target = edges[position]
+                if index[target] < 0:
+                    index[target] = low[target] = counter
+                    counter += 1
+                    stack.append(target)
+                    calls.append((target, 0))
+                elif component[target] < 0 and index[target] < low[node]:
+                    low[node] = index[target]
+                continue
+            calls.pop()
+            if calls:
+                parent = calls[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] != index[node]:
+                continue
+            members: List[int] = []
+            while True:
+                member = stack.pop()
+                component[member] = node
+                members.append(member)
+                if member == node:
+                    break
+            # every successor is already in a finished component, so the
+            # component is bottom iff no arc leaves it
+            bottom = all(
+                component[target] == node
+                for member in members
+                for target in successors[member]
+            )
+            if bottom:
+                seen: Set[str] = set()
+                for member in members:
+                    seen.update(fired[member])
+                if seen != everything:
+                    return False
+    return True

@@ -311,3 +311,25 @@ def test_cli_import_leaves_numpy_unloaded():
         ),
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    """Net invariants use integer elimination, not rational arithmetic."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+        ),
+    )
+    assert result.stdout.strip() == "[]"

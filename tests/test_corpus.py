@@ -26,7 +26,7 @@ from repro.corpus import (
 )
 from repro.sg.properties import is_output_semi_modular
 from repro.stg.parser import parse_g
-from repro.stg.reachability import stg_to_state_graph
+from repro.stg.reachability import explore, stg_to_state_graph
 from repro.stg.structural import is_free_choice, is_live_and_safe, is_marked_graph
 
 
@@ -404,7 +404,61 @@ class TestFactory:
             )
         )
         spec = CorpusSpec(count=1, families=FAST_FAMILIES)
-        assert admission_failure(stg, spec) in ("not-live", "inconsistent")
+        assert admission_failure(stg, spec) == "not-live"
+
+    def test_admission_rejects_transient_prefix(self):
+        # x+ fires once, concurrently with the a+/a- cycle: every
+        # transition fires somewhere in the marking graph, but the bottom
+        # component (after x+) never fires x+ again
+        stg = parse_g(
+            "\n".join(
+                [
+                    ".inputs a",
+                    ".outputs x",
+                    ".graph",
+                    "pi x+",
+                    "x+ pd",
+                    "p0 a+",
+                    "a+ p1",
+                    "p1 a-",
+                    "a- p0",
+                    ".marking { pi p0 }",
+                    ".end",
+                ]
+            )
+        )
+        spec = CorpusSpec(
+            count=1,
+            families=FAST_FAMILIES,
+            admission=AdmissionSpec(require_consistent=False),
+        )
+        fired = {transition for _, transition, _ in explore(stg)[2]}
+        assert fired == set(stg.net.transitions)
+        assert admission_failure(stg, spec) == "not-live"
+
+    def test_admission_rejects_deadlock(self):
+        stg = parse_g(
+            "\n".join(
+                [
+                    ".inputs a",
+                    ".outputs q",
+                    ".graph",
+                    "p0 a+",
+                    "a+ q+",
+                    "q+ a-",
+                    "a- q-",
+                    "q- pd",
+                    ".marking { p0 }",
+                    ".end",
+                ]
+            )
+        )
+        spec = CorpusSpec(
+            count=1,
+            families=FAST_FAMILIES,
+            admission=AdmissionSpec(require_consistent=False),
+        )
+        assert admission_failure(stg, spec) == "not-live"
 
 
 class TestCrossProcessDeterminism:
