@@ -34,28 +34,18 @@ Quick start::
     print(result.implementation.equations())
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from __future__ import annotations
 
-from repro.boolean import Cube, Cover
-from repro.core import (
-    analyze_mc,
-    baseline_synthesize,
-    insert_state_signals,
-    synthesize,
-    Implementation,
-    InsertionResult,
-    MCReport,
-    SynthesisError,
-)
-from repro.netlist import (
-    Netlist,
-    netlist_from_implementation,
-    verify_speed_independence,
-    HazardReport,
-)
-from repro.sg import StateGraph, SignalEvent
-from repro.stg import STG, parse_g, load_g, stg_to_state_graph
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - resolved lazily at run time
+    from repro.core import Implementation, InsertionResult
+    from repro.netlist import HazardReport, Netlist
+    from repro.sg import StateGraph
+    from repro.stg import STG
 
 __version__ = "1.0.0"
 
@@ -88,17 +78,31 @@ __all__ = [
     "AnalysisContext",
 ]
 
-#: orchestration names re-exported lazily (repro.pipeline imports parts
-#: of this package, so a module-level import here would be a cycle)
-_PIPELINE_EXPORTS = ("Pipeline", "PipelineSpec", "AnalysisContext")
-
-
-def __getattr__(name):
-    if name in _PIPELINE_EXPORTS:
-        from repro import pipeline as _pipeline
-
-        return getattr(_pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "boolean": ("Cube", "Cover"),
+        "core": (
+            "analyze_mc",
+            "baseline_synthesize",
+            "insert_state_signals",
+            "synthesize",
+            "Implementation",
+            "InsertionResult",
+            "MCReport",
+            "SynthesisError",
+        ),
+        "netlist": (
+            "Netlist",
+            "netlist_from_implementation",
+            "verify_speed_independence",
+            "HazardReport",
+        ),
+        "sg": ("StateGraph", "SignalEvent"),
+        "stg": ("STG", "parse_g", "load_g", "stg_to_state_graph"),
+        "pipeline": ("Pipeline", "PipelineSpec", "AnalysisContext"),
+    },
+)
 
 
 @dataclass

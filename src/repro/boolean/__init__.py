@@ -17,11 +17,7 @@ The synthesis core (:mod:`repro.core`) expresses every excitation function
 as a :class:`Cover` whose cubes are monotonous covers of excitation regions.
 """
 
-from repro.boolean.compiled import CompiledCover, CompiledCube, SignalSpace
-from repro.boolean.cube import Cube
-from repro.boolean.cover import Cover
-from repro.boolean.minimize import minimize_onset
-from repro.boolean.sop import format_cube, format_cover, format_equation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CompiledCover",
@@ -34,3 +30,14 @@ __all__ = [
     "format_cover",
     "format_equation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "compiled": ("CompiledCover", "CompiledCube", "SignalSpace"),
+        "cube": ("Cube",),
+        "cover": ("Cover",),
+        "minimize": ("minimize_onset",),
+        "sop": ("format_cube", "format_cover", "format_equation"),
+    },
+)

@@ -35,15 +35,7 @@ import sys
 from typing import List, Optional
 
 from repro import perf, synthesize_from_state_graph
-from repro.netlist.render import netlist_to_dot, netlist_to_verilog, sg_to_dot
-from repro.netlist.simulate import monte_carlo
-from repro.sg.csc import has_csc, has_usc
 from repro.sg.graph import InconsistentStateGraph
-from repro.sg.properties import (
-    is_output_distributive,
-    is_output_semi_modular,
-    is_persistent,
-)
 from repro.stg.parser import load_g
 from repro.stg.reachability import ReachabilityError, stg_to_state_graph
 
@@ -120,11 +112,12 @@ def parse_seed(text: str) -> int:
 def validated_store(path: Optional[str]) -> Optional[str]:
     """Validate a ``--store`` directory up front (usage error, exit 2).
 
-    Long-running verbs (``batch``, ``serve``) previously surfaced a bad
-    store path as a mid-run :class:`OSError` traceback from
-    ``ArtifactStore`` -- after minutes of work.  This checks the three
-    failure shapes eagerly: the path collides with an existing
-    *file*, the directory cannot be created, or it is not writable.
+    :func:`main` runs every verb's ``--store`` through this, so a bad
+    store path is a one-line usage error instead of an :class:`OSError`
+    traceback from ``ArtifactStore`` mid-run (exit 1, which reads as a
+    hazard).  This checks the three failure shapes eagerly: the path
+    collides with an existing *file*, the directory cannot be created,
+    or it is not writable.
     """
     if path is None:
         return None
@@ -191,10 +184,16 @@ def _store_traffic_report(store) -> str:
 
 def cmd_info(args: argparse.Namespace) -> int:
     from repro.pipeline import AnalysisContext, Pipeline
+    from repro.sg.analysis import statistics
+    from repro.sg.csc import has_csc, has_usc
+    from repro.sg.properties import (
+        is_output_distributive,
+        is_output_semi_modular,
+        is_persistent,
+    )
 
     recorder = _start_profile(args)
     stg, sg = _load(args.spec)
-    from repro.sg.analysis import statistics
 
     print(f"{stg}")
     print(f"state graph: {statistics(sg).describe()}")
@@ -206,6 +205,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     report = Pipeline(context).run(sg, until="mc").report
     print(report.describe())
     if args.dot:
+        from repro.netlist.render import sg_to_dot
+
         with open(args.dot, "w") as handle:
             handle.write(sg_to_dot(sg))
         print(f"state graph written to {args.dot}")
@@ -291,6 +292,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print()
         print(result.hazard_report.describe())
     if args.verilog:
+        from repro.netlist.render import netlist_to_verilog
+
         with open(args.verilog, "w") as handle:
             handle.write(netlist_to_verilog(result.netlist))
         print(f"Verilog written to {args.verilog}")
@@ -308,6 +311,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             handle.write(dumps_g(repaired))
         print(f"repaired specification written to {args.save_stg}")
     if args.dot:
+        from repro.netlist.render import netlist_to_dot
+
         with open(args.dot, "w") as handle:
             handle.write(netlist_to_dot(result.netlist))
         print(f"netlist graph written to {args.dot}")
@@ -389,6 +394,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.netlist.simulate import monte_carlo
+
     _, sg = _load(args.spec)
     result = synthesize_from_state_graph(sg, style=args.style, verify=False)
     reports = monte_carlo(
@@ -608,10 +615,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             journal.append(outcome)
 
     try:
-        store = validated_store(args.store)
         report = run_batch(
             args.specs,
-            store=store,
+            store=args.store,
             jobs=args.jobs,
             style=args.style,
             share_gates=args.share,
@@ -654,7 +660,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return serve(
         host=args.host,
         port=args.port,
-        store=validated_store(args.store),
+        store=args.store,
         workers=args.workers,
         tenant_tokens=args.tenant_tokens,
         tenant_refill=args.tenant_refill,
@@ -981,14 +987,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.core.complexgate import CSCViolation
     from repro.core.insertion import InsertionError
-    from repro.core.synthesis import SynthesisError
+    from repro.core.synthesis import CSCViolation, SynthesisError
     from repro.verify.budget import BudgetExceeded
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "store"):
+            args.store = validated_store(args.store)
         return args.func(args)
     except CliError as exc:
         print(f"repro-si: error: {exc}", file=sys.stderr)

@@ -17,28 +17,7 @@
   generate-and-verify loop that repairs MC violations.
 """
 
-from repro.core.covers import (
-    CoverDiagnostics,
-    smallest_cover_cube,
-    is_cover_cube,
-    covers_correctly,
-    check_monotonous_cover,
-    is_monotonous_cover,
-    find_monotonous_cover,
-    check_generalized_mc,
-    find_correct_cover_cubes,
-)
-from repro.core.mc import MCReport, RegionVerdict, analyze_mc
-from repro.core.synthesis import Implementation, SignalNetwork, synthesize, SynthesisError
-from repro.core.baseline import baseline_synthesize, BaselineError
-from repro.core.insertion import InsertionResult, insert_state_signals, expand_with_signal
-from repro.core.csc import CSCInsertionResult, insert_for_csc
-from repro.core.complexgate import (
-    CSCViolation,
-    complex_gate_netlist,
-    complex_gate_synthesize,
-)
-from repro.core.optimize import optimal_region_assignment
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CoverDiagnostics",
@@ -69,3 +48,33 @@ __all__ = [
     "complex_gate_synthesize",
     "optimal_region_assignment",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "covers": (
+            "CoverDiagnostics",
+            "smallest_cover_cube",
+            "is_cover_cube",
+            "covers_correctly",
+            "check_monotonous_cover",
+            "is_monotonous_cover",
+            "find_monotonous_cover",
+            "check_generalized_mc",
+            "find_correct_cover_cubes",
+        ),
+        "mc": ("MCReport", "RegionVerdict", "analyze_mc"),
+        "synthesis": (
+            "Implementation",
+            "SignalNetwork",
+            "synthesize",
+            "SynthesisError",
+            "CSCViolation",
+        ),
+        "baseline": ("baseline_synthesize", "BaselineError"),
+        "insertion": ("InsertionResult", "insert_state_signals", "expand_with_signal"),
+        "csc": ("CSCInsertionResult", "insert_for_csc"),
+        "complexgate": ("complex_gate_netlist", "complex_gate_synthesize"),
+        "optimize": ("optimal_region_assignment",),
+    },
+)

@@ -27,21 +27,10 @@ from typing import Dict, List, Tuple
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import minimize_onset
 from repro.boolean.sop import format_cover
+from repro.core.synthesis import CSCViolation
 from repro.netlist.gates import Gate, GateKind
 from repro.netlist.netlist import Netlist
 from repro.sg.graph import StateGraph
-
-
-class CSCViolation(RuntimeError):
-    """Two same-coded states demand different next values of a signal."""
-
-    def __init__(self, signal: str, code: Tuple[int, ...]):
-        self.signal = signal
-        self.code = code
-        super().__init__(
-            f"signal {signal!r}: code {''.join(map(str, code))} needs both "
-            f"next-values (CSC violation)"
-        )
 
 
 def next_state_function(

@@ -46,6 +46,18 @@ class SynthesisError(RuntimeError):
         super().__init__(report.describe())
 
 
+class CSCViolation(RuntimeError):
+    """Two same-coded states demand different next values of a signal."""
+
+    def __init__(self, signal: str, code: Tuple[int, ...]):
+        self.signal = signal
+        self.code = code
+        super().__init__(
+            f"signal {signal!r}: code {''.join(map(str, code))} needs both "
+            f"next-values (CSC violation)"
+        )
+
+
 @dataclass
 class SignalNetwork:
     """The excitation logic of one non-input signal (Fig. 2)."""

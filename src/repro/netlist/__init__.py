@@ -16,15 +16,13 @@
   Figure-4 baseline hazard.
 """
 
-from repro.netlist.gates import Gate, GateKind
-from repro.netlist.netlist import Netlist, netlist_from_implementation
-from repro.netlist.circuit_sg import build_circuit_state_graph, CompositionError
-from repro.netlist.hazards import HazardReport, verify_speed_independence
+from repro._lazy import lazy_exports
+
+# ``simulate`` is also the name of its submodule: importing
+# ``repro.netlist.simulate`` rebinds the package attribute to the
+# module, so the function is bound here, after that import, instead of
+# lazily.
 from repro.netlist.simulate import SimulationReport, monte_carlo, simulate
-from repro.netlist.area import area_estimate, area_report
-from repro.netlist.io import load_netlist, netlist_from_json, netlist_to_json, save_netlist
-from repro.netlist.render import netlist_to_dot, netlist_to_verilog, sg_to_dot
-from repro.netlist.mapping import decompose_fanin, fanin_violations
 
 __all__ = [
     "Gate",
@@ -50,3 +48,17 @@ __all__ = [
     "decompose_fanin",
     "fanin_violations",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "gates": ("Gate", "GateKind"),
+        "netlist": ("Netlist", "netlist_from_implementation"),
+        "circuit_sg": ("build_circuit_state_graph", "CompositionError"),
+        "hazards": ("HazardReport", "verify_speed_independence"),
+        "area": ("area_estimate", "area_report"),
+        "io": ("netlist_to_json", "netlist_from_json", "save_netlist", "load_netlist"),
+        "render": ("netlist_to_verilog", "netlist_to_dot", "sg_to_dot"),
+        "mapping": ("decompose_fanin", "fanin_violations"),
+    },
+)

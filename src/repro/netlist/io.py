@@ -28,7 +28,7 @@ Complex-gate functions are covers serialised as lists of literal lists.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
@@ -64,26 +64,67 @@ def netlist_to_json(netlist: Netlist, indent: int = 2) -> str:
     return json.dumps(document, indent=indent) + "\n"
 
 
+def _field(entry: Dict, key: str, kind: type, where: str):
+    """``entry[key]``, or a :class:`ValueError` naming the missing or
+    ill-typed field."""
+    if key not in entry:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = entry[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{where} field {key!r} must be a {kind.__name__}, "
+            f"not {type(value).__name__}"
+        )
+    return value
+
+
+def _pins(pairs: List, where: str) -> Tuple[Tuple[str, int], ...]:
+    try:
+        return tuple((signal, int(value)) for signal, value in pairs)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: expected [signal, 0|1] pairs") from None
+
+
 def netlist_from_json(text: str) -> Netlist:
-    """Parse JSON text back into a :class:`Netlist`."""
+    """Parse JSON text back into a :class:`Netlist`.
+
+    Raises :class:`ValueError` for text that is not a netlist document,
+    naming the first missing or ill-typed field.
+    """
     document = json.loads(text)
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"a netlist is a JSON object, not {type(document).__name__}"
+        )
     netlist = Netlist(
         name=document.get("name", "netlist"),
-        inputs=tuple(document["inputs"]),
+        inputs=tuple(_field(document, "inputs", list, "netlist")),
         interface_outputs=tuple(document.get("interface_outputs", ())),
     )
-    for entry in document["gates"]:
-        kind = GateKind(entry["kind"])
-        inputs = tuple((signal, int(pol)) for signal, pol in entry["inputs"])
+    for index, entry in enumerate(_field(document, "gates", list, "netlist")):
+        if not isinstance(entry, dict):
+            raise ValueError(f"gate {index} is not a JSON object")
+        where = f"gate {index}"
+        output = _field(entry, "output", str, where)
+        where = f"gate {output!r}"
+        kind_name = _field(entry, "kind", str, where)
+        try:
+            kind = GateKind(kind_name)
+        except ValueError:
+            known = ", ".join(k.value for k in GateKind)
+            raise ValueError(
+                f"{where} has unknown kind {kind_name!r} (one of {known})"
+            ) from None
+        inputs = _pins(_field(entry, "inputs", list, where), f"{where} inputs")
         function = None
         if kind == GateKind.COMPLEX:
             function = Cover(
                 [
-                    Cube({signal: int(value) for signal, value in literals})
-                    for literals in entry["function"]
+                    Cube(dict(_pins(literals, f"{where} function")))
+                    for literals in _field(entry, "function", list, where)
                 ]
             )
-        netlist.add_gate(Gate(entry["output"], kind, inputs, function=function))
+        netlist.add_gate(Gate(output, kind, inputs, function=function))
     for name, hint in document.get("initial_hints", {}).items():
         netlist.initial_hints[name] = (hint[0], int(hint[1]))
     netlist.declared_state_holding.update(document.get("state_holding", ()))

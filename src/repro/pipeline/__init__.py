@@ -5,6 +5,10 @@ end-to-end flow (CLI, library wrappers, bench harness, verify
 campaigns) is a :class:`Pipeline` run over a shared
 :class:`AnalysisContext`.
 
+The names below resolve on first access, so ``import repro.pipeline``
+costs nothing until one is used.  A ``repro-si synth`` run loads the
+stage modules:
+
 * :mod:`repro.pipeline.core` -- the five-stage pipeline and
   :class:`PipelineSpec`;
 * :mod:`repro.pipeline.artifacts` -- the typed frozen stage artifacts
@@ -12,11 +16,15 @@ campaigns) is a :class:`Pipeline` run over a shared
 * :mod:`repro.pipeline.context` -- engine + budget + memo cache +
   profiling for one analysis world;
 * :mod:`repro.pipeline.backends` -- the production ``bitengine`` and
-  the ``reference`` oracle that differential checks diff it against;
+  the ``reference`` oracle that differential checks diff it against.
+
+Only the runs that use them load the persistence and fan-out modules:
+
 * :mod:`repro.pipeline.serialize` -- one-way JSON encoders of result
   artifacts and the faithful stage-artifact codecs;
 * :mod:`repro.pipeline.store` -- the content-addressed persistent
-  artifact store backing :class:`AnalysisContext` memo caches on disk;
+  artifact store backing :class:`AnalysisContext` memo caches on disk
+  (``--store``);
 * :mod:`repro.pipeline.batch` -- corpus-level batch synthesis over a
   shared store (``repro-si batch``) on a process pool, resumable via
   manifests/journals.
@@ -31,18 +39,7 @@ Quick start::
     print(plan.implementation.equations())
 """
 
-from repro.pipeline.artifacts import (
-    CoverPlan,
-    MCVerdict,
-    ReachedSG,
-    RegionMap,
-    SynthesizedNetlist,
-)
-from repro.pipeline.backends import get_backend
-from repro.pipeline.batch import BatchReport, DesignOutcome, run_batch
-from repro.pipeline.context import AnalysisContext
-from repro.pipeline.core import STAGES, Pipeline, PipelineSpec
-from repro.pipeline.store import ArtifactStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnalysisContext",
@@ -60,3 +57,21 @@ __all__ = [
     "get_backend",
     "run_batch",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "artifacts": (
+            "CoverPlan",
+            "MCVerdict",
+            "ReachedSG",
+            "RegionMap",
+            "SynthesizedNetlist",
+        ),
+        "backends": ("get_backend",),
+        "batch": ("BatchReport", "DesignOutcome", "run_batch"),
+        "context": ("AnalysisContext",),
+        "core": ("STAGES", "Pipeline", "PipelineSpec"),
+        "store": ("ArtifactStore",),
+    },
+)

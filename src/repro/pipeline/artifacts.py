@@ -30,6 +30,7 @@ from repro.core.insertion import InsertionResult
 from repro.core.mc import MCReport
 from repro.core.synthesis import Implementation
 from repro.netlist.hazards import HazardReport
+from repro.netlist.io import netlist_to_json
 from repro.netlist.netlist import Netlist
 from repro.sg.graph import StateGraph
 from repro.sg.regions import ExcitationRegion
@@ -216,8 +217,6 @@ def fingerprint_cover_plan(
 def fingerprint_netlist(
     upstream: str, netlist: Netlist, hazard_report: Optional[HazardReport]
 ) -> str:
-    from repro.netlist.io import netlist_to_json
-
     verdict = "unverified"
     if hazard_report is not None:
         verdict = (

@@ -466,9 +466,8 @@ def _design_name(path: str) -> str:
 
 def _run_design(task: Dict) -> Dict:
     """Worker body: one design through the full pipeline (picklable I/O)."""
-    from repro.core.complexgate import CSCViolation
     from repro.core.insertion import InsertionError
-    from repro.core.synthesis import SynthesisError
+    from repro.core.synthesis import CSCViolation, SynthesisError
     from repro.pipeline.context import AnalysisContext
     from repro.pipeline.core import Pipeline, PipelineSpec
     from repro.stg.parser import load_g, parse_g

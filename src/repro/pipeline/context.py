@@ -19,10 +19,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro import perf
 from repro.pipeline.backends import get_backend
+from repro.pipeline.incremental import IncrementalIndex
+from repro.verify.budget import Budget
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: repro.verify -> pipeline
+if TYPE_CHECKING:  # pragma: no cover - imported only for a --store run
     from repro.pipeline.store import ArtifactStore
-    from repro.verify.budget import Budget
 
 
 class AnalysisContext:
@@ -60,13 +61,11 @@ class AnalysisContext:
     def __init__(
         self,
         backend: Optional[str] = None,
-        budget: Optional["Budget"] = None,
+        budget: Optional[Budget] = None,
         recorder: Optional[perf.PerfRecorder] = None,
         store: Union["ArtifactStore", str, None] = None,
         memo: Optional[Dict[Tuple, object]] = None,
     ):
-        from repro.verify.budget import Budget
-
         if isinstance(store, (str, os.PathLike)):
             from repro.pipeline.store import ArtifactStore
 
@@ -119,8 +118,6 @@ class AnalysisContext:
         analysis cache that power ``Pipeline.run(spec, delta=...)``.
         """
         if self._incremental is None:
-            from repro.pipeline.incremental import IncrementalIndex
-
             self._incremental = IncrementalIndex()
         return self._incremental
 

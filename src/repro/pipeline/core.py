@@ -48,6 +48,11 @@ from repro.pipeline.artifacts import (
     fingerprint_stg,
 )
 from repro.pipeline.context import AnalysisContext
+from repro.pipeline.incremental import (
+    function_digest,
+    function_name,
+    signal_region_digest,
+)
 from repro.sg.graph import StateGraph
 from repro.stg.stg import STG
 
@@ -284,7 +289,6 @@ class Pipeline:
         key = (reached.fingerprint,)
 
         def compute() -> RegionMap:
-            from repro.pipeline.incremental import signal_region_digest
             from repro.sg.regions import excitation_regions
 
             sg = reached.sg
@@ -336,8 +340,6 @@ class Pipeline:
         key = (regions.fingerprint, ctx.backend.name)
 
         def analyze() -> MCVerdict:
-            from repro.pipeline.incremental import function_digest, function_name
-
             sg = reached.sg
             by_function: dict = {}
             for er in regions.regions:

@@ -12,7 +12,10 @@ satisfiability solvers".  This subpackage provides that substrate:
   assumptions and solution blocking (for model enumeration).
 """
 
-from repro.sat.cnf import CNF
-from repro.sat.solver import Solver, solve
+from repro._lazy import lazy_exports
 
 __all__ = ["CNF", "Solver", "solve"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"cnf": ("CNF",), "solver": ("Solver", "solve")}
+)

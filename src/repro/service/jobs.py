@@ -506,9 +506,8 @@ def run_job(kind: str, params: Dict, context, emit) -> Dict:
     ``charged`` / ``cache`` and is identical across the thread and
     process executors, so the manager finishes jobs uniformly.
     """
-    from repro.core.complexgate import CSCViolation
     from repro.core.insertion import InsertionError
-    from repro.core.synthesis import SynthesisError
+    from repro.core.synthesis import CSCViolation, SynthesisError
     from repro.pipeline.delta import DeltaError
     from repro.stg.reachability import ReachabilityError
 

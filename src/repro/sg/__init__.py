@@ -19,35 +19,12 @@ This subpackage provides:
 * :mod:`~repro.sg.io` -- a plain-text interchange format.
 """
 
-from repro.sg.events import SignalEvent
-from repro.sg.graph import StateGraph
-from repro.sg.builder import sg_from_asterisk_states, sg_from_arcs, sg_from_cycle
-from repro.sg.properties import (
-    conflict_states,
-    detonant_states,
-    is_semi_modular,
-    is_output_semi_modular,
-    is_distributive,
-    is_output_distributive,
-    is_persistent,
-    non_persistent_pairs,
-)
-from repro.sg.regions import (
-    ExcitationRegion,
-    excitation_regions,
-    quiescent_region,
-    constant_function_region,
-    minimal_states,
-    has_unique_entry,
-    trigger_events,
-    ordered_signals,
-    concurrent_signals,
-    excited_value_sets,
-)
-from repro.sg.csc import has_usc, has_csc, csc_conflicts, usc_conflicts
-from repro.sg.compose import compose, CompositionDeadlock
-from repro.sg.conformance import refines, trace_equivalent, RefinementResult
-from repro.sg.analysis import deadlock_states, is_live, statistics
+from repro._lazy import lazy_exports
+
+# ``compose`` is also the name of its submodule: importing
+# ``repro.sg.compose`` rebinds the package attribute to the module, so
+# the function is bound here, after that import, instead of lazily.
+from repro.sg.compose import CompositionDeadlock, compose
 
 __all__ = [
     "SignalEvent",
@@ -86,3 +63,37 @@ __all__ = [
     "is_live",
     "statistics",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": ("SignalEvent",),
+        "graph": ("StateGraph",),
+        "builder": ("sg_from_asterisk_states", "sg_from_arcs", "sg_from_cycle"),
+        "properties": (
+            "conflict_states",
+            "detonant_states",
+            "is_semi_modular",
+            "is_output_semi_modular",
+            "is_distributive",
+            "is_output_distributive",
+            "is_persistent",
+            "non_persistent_pairs",
+        ),
+        "regions": (
+            "ExcitationRegion",
+            "excitation_regions",
+            "quiescent_region",
+            "constant_function_region",
+            "minimal_states",
+            "has_unique_entry",
+            "trigger_events",
+            "ordered_signals",
+            "concurrent_signals",
+            "excited_value_sets",
+        ),
+        "csc": ("has_usc", "has_csc", "csc_conflicts", "usc_conflicts"),
+        "conformance": ("refines", "trace_equivalent", "RefinementResult"),
+        "analysis": ("deadlock_states", "is_live", "statistics"),
+    },
+)

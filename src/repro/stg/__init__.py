@@ -19,14 +19,7 @@ reachability.
   checks.
 """
 
-from repro.stg.petrinet import PetriNet
-from repro.stg.stg import STG
-from repro.stg.parser import parse_g, load_g
-from repro.stg.writer import dumps_g
-from repro.stg.reachability import stg_to_state_graph, ReachabilityError
-from repro.stg.structural import is_marked_graph, is_free_choice
-from repro.stg.synthesis import stg_from_state_graph, NotSynthesizableError
-from repro.stg.invariants import t_invariants, s_invariants
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PetriNet",
@@ -43,3 +36,17 @@ __all__ = [
     "t_invariants",
     "s_invariants",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "petrinet": ("PetriNet",),
+        "stg": ("STG",),
+        "parser": ("parse_g", "load_g"),
+        "writer": ("dumps_g",),
+        "reachability": ("stg_to_state_graph", "ReachabilityError"),
+        "structural": ("is_marked_graph", "is_free_choice"),
+        "synthesis": ("stg_from_state_graph", "NotSynthesizableError"),
+        "invariants": ("t_invariants", "s_invariants"),
+    },
+)

@@ -294,12 +294,33 @@ class TestVerifyOracle:
         assert excinfo.value.code == 2
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """Every CLI start pays only for the dependency-free core."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", spec("delement.g")],
+        ["synth", spec("delement.g")],
+        ["verify", spec("delement.g")],
+        ["diff", "--count", "1"],
+        ["table1", "delement"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_store_path_that_is_a_file_is_a_usage_error(argv, tmp_path, capsys):
+    """Every verb validates ``--store`` up front: exit 2, one line."""
+    bogus = tmp_path / "not-a-dir"
+    bogus.write_text("occupied")
+    assert main(argv + ["--store", str(bogus)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro-si: error: --store path {str(bogus)!r} is a file, not a directory\n"
+
+
+def _fresh_modules(script):
+    """The modules a fresh interpreter holds after running ``script``."""
+    import json
     import subprocess
     import sys
 
-    script = "import sys, repro.cli; print('numpy' in sys.modules)"
+    script += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -310,26 +331,50 @@ def test_cli_import_leaves_numpy_unloaded():
             PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
         ),
     )
-    assert result.stdout.strip() == "False"
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Every CLI start pays only for the dependency-free core."""
+    assert "numpy" not in _fresh_modules("import repro.cli")
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
     """Net invariants use integer elimination, not rational arithmetic."""
-    import subprocess
-    import sys
+    loaded = _fresh_modules("import repro.cli, repro.stg.invariants")
+    assert sorted(m for m in ("fractions", "decimal") if m in loaded) == []
 
-    script = (
-        "import sys, repro.cli; "
-        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+
+def test_cli_import_loads_no_synthesis_package():
+    """``import repro.cli`` compiles the parser and the spec loader only;
+    every package the verbs run resolves on first use."""
+    packages = (
+        "core", "netlist", "pipeline", "verify", "boolean", "sat",
+        "corpus", "service", "bench",
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(
-            os.environ,
-            PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
-        ),
+    loaded = _fresh_modules("import repro.cli")
+    assert sorted(
+        name for name in loaded
+        if any(name == f"repro.{p}" or name.startswith(f"repro.{p}.") for p in packages)
+    ) == []
+
+
+def test_synth_loads_only_what_it_runs():
+    """A ``synth`` process imports no batch, store, oracle or export code."""
+    unused = [
+        "multiprocessing", "concurrent.futures", "socket", "pickle",
+        "logging", "subprocess",
+        "repro.pipeline.batch", "repro.pipeline.store",
+        "repro.pipeline.serialize", "repro.verify.differential",
+        "repro.verify.faults", "repro.verify.hazard_free",
+        "repro.netlist.render", "repro.stg.invariants",
+        "repro.core.complexgate", "repro.boolean.minimize",
+    ]
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['synth', {spec('nak-pa.g')!r}, '--area']) == 0\n"
     )
-    assert result.stdout.strip() == "[]"
+    assert "repro.core.insertion" in loaded
+    assert sorted(name for name in unused if name in loaded) == []

@@ -50,6 +50,40 @@ class TestRoundTrip:
         assert set(load_netlist(str(path)).gates) == set(original.gates)
 
 
+#: JSON documents that are not netlists -> the field the error names
+NOT_NETLISTS = {
+    "[]": "JSON object",
+    '{"a": 1}': "'inputs'",
+    '{"inputs": "a", "gates": []}': "'inputs' must be a list",
+    '{"inputs": ["a"]}': "'gates'",
+    '{"inputs": ["a"], "gates": [{"kind": "buf", "inputs": [["a", 1]]}]}': "'output'",
+    '{"inputs": ["a"], "gates": [{"output": "b", "kind": "xor", "inputs": [["a", 1]]}]}': (
+        "unknown kind 'xor'"
+    ),
+    '{"inputs": ["a"], "gates": [{"output": "b", "kind": "buf", "inputs": [["a"]]}]}': (
+        "gate 'b' inputs"
+    ),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("text, field", sorted(NOT_NETLISTS.items()))
+    def test_value_error_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            netlist_from_json(text)
+
+    @pytest.mark.parametrize("text", sorted(NOT_NETLISTS))
+    def test_check_exits_2_not_1(self, tmp_path, capsys, text):
+        """Exit 1 means "hazard found"; a non-netlist is a usage error."""
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(text)
+        spec = os.path.join(DATA, "delement.g")
+        assert main(["check", spec, str(bogus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-si: error: malformed netlist")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestCliCheck:
     def test_save_and_check_good_netlist(self, tmp_path, capsys):
         spec = os.path.join(DATA, "mp-forward-pkt.g")
