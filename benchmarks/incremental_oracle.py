@@ -6,7 +6,10 @@ designs, and checks on every edit that
 
 - an edit that *applies* yields a warm ``Pipeline.run(spec, delta=...)``
   netlist artifact byte-identical (fingerprint chain) to a cold
-  from-scratch synthesis of the edited spec, and
+  from-scratch synthesis of the edited spec -- on every tenth applied
+  edit the warm side runs in a fresh context that finds the base spec's
+  artifacts only in an :class:`~repro.pipeline.store.ArtifactStore`, so
+  store-decoded delta hints are held to the same check -- and
 - an edit that *fails* (delta does not apply, edited spec unbounded or
   otherwise unsynthesisable) fails identically on both paths — same
   exception type, same message.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 import time
 
 from repro.corpus import (
@@ -37,7 +41,7 @@ from repro.corpus import (
     token_ring,
 )
 from repro.bench.suite import BENCHMARKS, load_benchmark
-from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
+from repro.pipeline import AnalysisContext, ArtifactStore, Pipeline, PipelineSpec
 from repro.pipeline.delta import (
     AddEdge,
     RemoveEdge,
@@ -62,6 +66,10 @@ CORPUS = [
     ("alternator(3)", lambda: alternator(3), 24),
     ("series_parallel(1,3)", lambda: random_series_parallel(1, leaves=3), 4),
 ] + [(name, (lambda n=name: load_benchmark(n)), 6) for name in BENCHMARKS]
+
+#: run the warm side from the store alone on every STORE_EVERY-th
+#: applied edit of a trajectory
+STORE_EVERY = 10
 
 
 def random_delta(rng: random.Random, stg) -> SpecDelta:
@@ -93,7 +101,17 @@ def random_delta(rng: random.Random, stg) -> SpecDelta:
 
 def sweep_design(label: str, stg, rng: random.Random, max_edits: int) -> dict:
     """One random trajectory; returns {'edits': n, 'applied': n, 'failed': n}."""
-    context = AnalysisContext()
+    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as root:
+        return _sweep(label, stg, rng, max_edits, ArtifactStore(root))
+
+
+def _sweep(label: str, stg, rng: random.Random, max_edits: int, store) -> dict:
+    # The trajectory's context spills every artifact to ``store``, so the
+    # store always holds the current base spec.  Every STORE_EVERY-th
+    # applied edit (the first one included) runs its warm side in a
+    # fresh context that sees the base only through the store: the
+    # delta hints then come from decoded store entries.
+    context = AnalysisContext(store=store)
     pipeline = Pipeline(context)
     spec = PipelineSpec.from_stg(stg, verify=False)
     counts = {"edits": 0, "applied": 0, "failed": 0}
@@ -105,8 +123,11 @@ def sweep_design(label: str, stg, rng: random.Random, max_edits: int) -> dict:
     for _ in range(max_edits):
         delta = random_delta(rng, spec.stg)
         counts["edits"] += 1
+        warm_pipeline = pipeline
+        if counts["applied"] % STORE_EVERY == 0:
+            warm_pipeline = Pipeline(AnalysisContext(store=store))
         try:
-            warm = pipeline.run(spec, delta=delta)
+            warm = warm_pipeline.run(spec, delta=delta)
             warm_error = None
         except Exception as exc:  # noqa: BLE001 - compared against cold
             warm, warm_error = None, exc
@@ -133,6 +154,8 @@ def sweep_design(label: str, stg, rng: random.Random, max_edits: int) -> dict:
             )
         spec = edited
         counts["applied"] += 1
+    if store.totals()["corrupt"]:
+        raise AssertionError(f"{label}: store entries failed to decode: {store.stats()}")
     return counts
 
 

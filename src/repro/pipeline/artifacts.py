@@ -120,9 +120,6 @@ class RegionMap:
 
     regions: Tuple[ExcitationRegion, ...]
     fingerprint: str = ""
-    #: per-signal digests of the region computation's input cone
-    #: (see pipeline/incremental.py); equal digest = identical ER list
-    signal_fingerprints: Tuple[Tuple[str, str], ...] = ()
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -135,9 +132,6 @@ class MCVerdict:
     report: MCReport
     backend: str = "bitengine"
     fingerprint: str = ""
-    #: per-``a+``/``a-`` digests of each function's verdict input cone
-    #: (see pipeline/incremental.py); equal digest = identical verdicts
-    function_fingerprints: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def satisfied(self) -> bool:

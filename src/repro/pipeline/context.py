@@ -135,31 +135,34 @@ class AnalysisContext:
         entry.update(counts)
         self.last_reuse[stage] = entry
 
-    def probe(self, stage: str, key: Tuple):
+    def probe(self, stage: str, key: Tuple, upstream: Tuple = ()):
         """Look up an artifact without counting a hit or a miss.
 
         Used by the delta path to fetch *base-spec* artifacts as reuse
         hints: a probe is not part of the edited run's cache traffic, so
         it must not skew the hit/miss counters (store ``get`` stats do
         register, which is accurate — the store was really consulted).
+        ``upstream`` is as for :meth:`memoize`.
         """
         full_key = (stage,) + key
         if full_key in self._memo:
             return self._memo[full_key]
         if self.store is not None:
-            artifact = self.store.get(stage, key)
+            artifact = self.store.get(stage, key, upstream)
             if artifact is not None:
                 self._memo[full_key] = artifact
                 return artifact
         return None
 
     # ------------------------------------------------------------------
-    def memoize(self, stage: str, key: Tuple, compute, cache_if=None):
+    def memoize(self, stage: str, key: Tuple, compute, cache_if=None, upstream: Tuple = ()):
         """Return the memoised artifact for ``key``, computing on miss.
 
         ``key`` must chain the upstream artifact's fingerprint with every
         option that can change this stage's result; see
-        :mod:`repro.pipeline.artifacts`.
+        :mod:`repro.pipeline.artifacts`.  ``upstream`` (``(reached,)`` for
+        ``mc``, ``(reached, mc)`` for ``covers``) goes to the store, whose
+        payloads refer to those artifacts instead of embedding them.
 
         ``cache_if``, when given, is called with a freshly computed
         artifact; returning False keeps it out of the memo *and* the
@@ -180,7 +183,7 @@ class AnalysisContext:
             self.cache_misses_by_stage.get(stage, 0) + 1
         )
         if self.store is not None:
-            artifact = self.store.get(stage, key)
+            artifact = self.store.get(stage, key, upstream)
             if artifact is not None:
                 self._memo[full_key] = artifact
                 self.note_reuse(stage, "hit")
@@ -192,7 +195,7 @@ class AnalysisContext:
             return artifact
         self._memo[full_key] = artifact
         if self.store is not None:
-            self.store.put(stage, key, artifact)
+            self.store.put(stage, key, artifact, upstream)
         return artifact
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -48,11 +48,7 @@ from repro.pipeline.artifacts import (
     fingerprint_stg,
 )
 from repro.pipeline.context import AnalysisContext
-from repro.pipeline.incremental import (
-    function_digest,
-    function_name,
-    signal_region_digest,
-)
+from repro.pipeline.incremental import adoptable_regions, adoptable_verdicts
 from repro.sg.graph import StateGraph
 from repro.stg.stg import STG
 
@@ -143,6 +139,7 @@ class _DeltaHints:
     """
 
     snapshot: object = None  # ExplorationSnapshot of the base STG
+    base_reached: Optional[ReachedSG] = None
     base_regions: Optional[RegionMap] = None
     base_mc: Optional[MCVerdict] = None
 
@@ -224,10 +221,13 @@ class Pipeline:
             hints.snapshot = ctx.incremental.reach_snapshot(base_stg_fp)
             base_reached = ctx.probe("reach", (base_stg_fp, base_spec.max_states))
         if base_reached is not None:
+            hints.base_reached = base_reached
             hints.base_regions = ctx.probe("regions", (base_reached.fingerprint,))
             if hints.base_regions is not None:
                 hints.base_mc = ctx.probe(
-                    "mc", (hints.base_regions.fingerprint, ctx.backend.name)
+                    "mc",
+                    (hints.base_regions.fingerprint, ctx.backend.name),
+                    upstream=(base_reached,),
                 )
         return hints
 
@@ -292,40 +292,33 @@ class Pipeline:
             from repro.sg.regions import excitation_regions
 
             sg = reached.sg
-            base_digests = {}
-            base_by_signal: dict = {}
+            adopted = {}
             if hints is not None and hints.base_regions is not None:
-                base_digests = dict(hints.base_regions.signal_fingerprints)
-                for er in hints.base_regions.regions:
-                    base_by_signal.setdefault(er.signal, []).append(er)
+                adopted = adoptable_regions(
+                    hints.base_reached.sg, hints.base_regions.regions, sg
+                )
             regions_list = []
-            fingerprints = []
-            reused = fresh = 0
             with perf.phase("regions"):
                 for signal in sorted(sg.non_inputs):
-                    digest = signal_region_digest(sg, signal)
-                    fingerprints.append((signal, digest))
-                    base_ers = base_by_signal.get(signal)
-                    if base_ers is not None and base_digests.get(signal) == digest:
-                        # identical input cone: adopt the base ER list and
+                    ers = adopted.get(signal)
+                    if ers is None:
+                        ers = excitation_regions(sg, signal)
+                    else:
                         # seed the graph's region cache so downstream
                         # analyses agree object-for-object
-                        ers = list(base_ers)
                         sg._analysis_cache.setdefault(("regions", signal), ers)
-                        reused += 1
-                    else:
-                        ers = excitation_regions(sg, signal)
-                        fresh += 1
                     regions_list.extend(ers)
-            if reused:
+            if adopted:
                 ctx.note_reuse(
-                    "regions", "partial", reused_signals=reused, computed_signals=fresh
+                    "regions",
+                    "partial",
+                    reused_signals=len(adopted),
+                    computed_signals=len(sg.non_inputs) - len(adopted),
                 )
             regions = tuple(regions_list)
             return RegionMap(
                 regions=regions,
                 fingerprint=fingerprint_region_map(reached.fingerprint, regions),
-                signal_fingerprints=tuple(fingerprints),
             )
 
         return ctx.memoize("regions", key, compute)
@@ -341,32 +334,23 @@ class Pipeline:
 
         def analyze() -> MCVerdict:
             sg = reached.sg
-            by_function: dict = {}
-            for er in regions.regions:
-                by_function.setdefault((er.signal, er.direction), []).append(er)
-            base_digests = {}
-            base_verdicts: dict = {}
-            if hints is not None and hints.base_mc is not None:
-                base_digests = dict(hints.base_mc.function_fingerprints)
-                for verdict in hints.base_mc.report.verdicts:
-                    base_verdicts.setdefault(
-                        function_name(verdict.er.signal, verdict.er.direction), []
-                    ).append(verdict)
-            fingerprints = []
             reuse_map: dict = {}
-            for (signal, direction), ers in sorted(by_function.items()):
-                fname = function_name(signal, direction)
-                digest = function_digest(sg, signal, direction, ers)
-                fingerprints.append((fname, digest))
-                if base_digests.get(fname) == digest and fname in base_verdicts:
-                    reuse_map[(signal, direction)] = base_verdicts[fname]
-            if reuse_map and ctx.backend.supports_reuse:
+            if hints is not None and hints.base_mc is not None and ctx.backend.supports_reuse:
+                reuse_map = adoptable_verdicts(
+                    hints.base_reached.sg,
+                    hints.base_regions.regions,
+                    hints.base_mc.report,
+                    sg,
+                    regions.regions,
+                )
+            if reuse_map:
                 report = ctx.backend.analyze_mc(sg, reuse=reuse_map)
+                functions = {(er.signal, er.direction) for er in regions.regions}
                 ctx.note_reuse(
                     "mc",
                     "partial",
                     reused_functions=len(reuse_map),
-                    computed_functions=len(by_function) - len(reuse_map),
+                    computed_functions=len(functions) - len(reuse_map),
                 )
             else:
                 report = ctx.backend.analyze_mc(sg)
@@ -376,10 +360,9 @@ class Pipeline:
                 fingerprint=fingerprint_mc_report(
                     regions.fingerprint, ctx.backend.name, report
                 ),
-                function_fingerprints=tuple(fingerprints),
             )
 
-        return ctx.memoize("mc", key, analyze)
+        return ctx.memoize("mc", key, analyze, upstream=(reached,))
 
     def _covers(
         self, spec: PipelineSpec, reached: ReachedSG, mc: MCVerdict
@@ -412,7 +395,7 @@ class Pipeline:
                 ),
             )
 
-        return ctx.memoize("covers", key, plan)
+        return ctx.memoize("covers", key, plan, upstream=(reached, mc))
 
     def _netlist(self, spec: PipelineSpec, covers: CoverPlan) -> SynthesizedNetlist:
         ctx = self.context

@@ -20,6 +20,9 @@ whose actual input cone did not move:
   verdicts are adopted instead.  (When a smallest cover cube exceeds the
   exhaustive-search literal budget the greedy fallback becomes sensitive
   to global state order, so the digest then also pins that order.)
+- :func:`adoptable_regions` / :func:`adoptable_verdicts` — compare the
+  digests of the base and the edited graph, computed on demand in delta
+  runs only, and return what the edited run may adopt.
 - :class:`IncrementalIndex` — per-:class:`AnalysisContext` cache of
   reachability :class:`~repro.stg.reachability.ExplorationSnapshot` s
   (keyed by STG fingerprint) and of insertion-search MC analyses (keyed
@@ -34,7 +37,7 @@ invariant everything here preserves.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sg.graph import StateGraph
 from repro.sg.regions import (
@@ -48,6 +51,8 @@ from repro.sg.regions import (
 
 __all__ = [
     "IncrementalIndex",
+    "adoptable_regions",
+    "adoptable_verdicts",
     "signal_region_digest",
     "region_signal_fingerprints",
     "function_digest",
@@ -72,7 +77,7 @@ def function_name(signal: str, direction: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Per-signal region digests (RegionMap.signal_fingerprints)
+# Per-signal region digests
 # ----------------------------------------------------------------------
 def signal_region_digest(sg: StateGraph, signal: str) -> str:
     """Fingerprint of the inputs of ``excitation_regions(sg, signal)``.
@@ -118,7 +123,7 @@ def region_signal_fingerprints(sg: StateGraph) -> Tuple[Tuple[str, str], ...]:
 
 
 # ----------------------------------------------------------------------
-# Per-function MC digests (MCVerdict.function_fingerprints)
+# Per-function MC digests
 # ----------------------------------------------------------------------
 def function_digest(
     sg: StateGraph,
@@ -203,6 +208,37 @@ def function_fingerprints(
         (function_name(signal, direction), function_digest(sg, signal, direction, ers))
         for (signal, direction), ers in sorted(by_function.items())
     )
+
+
+# ----------------------------------------------------------------------
+# Delta adoption: what a base run's artifacts can lend the edited run
+# ----------------------------------------------------------------------
+def adoptable_regions(base_sg: StateGraph, base_regions, sg: StateGraph) -> Dict:
+    """Signal -> base ER list, for the signals whose digest did not move.
+
+    Digests are computed here, for the base and the edited graph alike:
+    only delta runs read them, so no artifact carries them.
+    """
+    same = set(region_signal_fingerprints(sg)) & set(region_signal_fingerprints(base_sg))
+    same = {signal for signal, _ in same}
+    adopted: Dict[str, List[ExcitationRegion]] = {}
+    for er in base_regions:
+        if er.signal in same:
+            adopted.setdefault(er.signal, []).append(er)
+    return adopted
+
+
+def adoptable_verdicts(base_sg, base_regions, base_report, sg, regions) -> Dict:
+    """``(signal, direction)`` -> base verdicts, for the functions whose
+    digest did not move (the ``analyze_mc(reuse=...)`` map)."""
+    same = set(function_fingerprints(sg, regions))
+    same = {name for name, _ in same & set(function_fingerprints(base_sg, base_regions))}
+    adopted: Dict[Tuple[str, int], list] = {}
+    for verdict in base_report.verdicts:
+        er = verdict.er
+        if function_name(er.signal, er.direction) in same:
+            adopted.setdefault((er.signal, er.direction), []).append(verdict)
+    return adopted
 
 
 # ----------------------------------------------------------------------

@@ -9,19 +9,19 @@ compares two engines through it) and :func:`pipeline_result_to_json`
 
 The stage codecs (:func:`stage_artifact_to_json` /
 :func:`stage_artifact_from_json`) serialise the five *pipeline stage
-artifacts* for the persistent artifact store
-(:mod:`repro.pipeline.store`).  These round-trips are **faithful**: a
-loaded artifact must be able to drive every downstream stage to
-byte-identical results, so excitation-region state sets, MC
-diagnostics, cover ordering and degenerate flags are all preserved
-exactly.  Cubes inside stage payloads are stored in the compiled IR
-form -- a ``[mask, value]`` big-int pair resolved against the embedded
-state graph's signal order.
+artifacts* for the persistent store (:mod:`repro.pipeline.store`,
+envelope ``repro-artifact-store/5``).  These round-trips are
+**faithful**: a loaded artifact drives every downstream stage to
+byte-identical results, so region state sets, MC diagnostics, cover
+order and degenerate flags are preserved exactly.  Cubes travel in the
+compiled IR form, a ``[mask, value]`` pair against the graph's signals.
 
-The store envelope is ``repro-artifact-store/4``; it also carries the
-per-signal and per-function fingerprints backing delta re-synthesis.
-Older envelopes are no longer read: old entries degrade to counted
-``corrupt`` misses.
+Each state graph is stored once, in the ``reach`` payload.  The ``mc``
+payload names it by fingerprint; so does ``covers``, which also names
+the ``mc`` report by the ``mc`` fingerprint, unless insertion changed
+graph and report -- then it embeds its own.  Decoders resolve these
+references against the ``upstream`` artifacts the caller holds, so a
+loaded report's ``.sg`` is the reach graph object, as in a fresh run.
 
 The only intentionally detached piece is the hazard report inside a
 loaded ``SynthesizedNetlist`` (the final stage -- no downstream stage
@@ -86,37 +86,25 @@ class DetachedHazardReport:
             f"(cached verdict, {self.circuit_states} circuit states{suffix})"
         )
 
-    def as_json(self) -> Dict:
-        return {
-            "hazard_free": self.hazard_free,
-            "conflicts": self.conflicts,
-            "truncated": self.truncated,
-            "circuit_states": self.circuit_states,
-        }
-
 
 def _hazard_to_json(report) -> Optional[Dict]:
     if report is None:
         return None
     if isinstance(report, DetachedHazardReport):
-        return report.as_json()
+        conflicts, states = report.conflicts, report.circuit_states
+    else:
+        conflicts = len(report.conflicts)
+        states = len(report.circuit_sg.state_list)
     return {
         "hazard_free": report.hazard_free,
-        "conflicts": len(report.conflicts),
+        "conflicts": conflicts,
         "truncated": report.composition.truncated,
-        "circuit_states": len(report.circuit_sg.state_list),
+        "circuit_states": states,
     }
 
 
 def _hazard_from_json(data: Optional[Dict]) -> Optional[DetachedHazardReport]:
-    if data is None:
-        return None
-    return DetachedHazardReport(
-        hazard_free=data["hazard_free"],
-        conflicts=data["conflicts"],
-        truncated=data["truncated"],
-        circuit_states=data["circuit_states"],
-    )
+    return None if data is None else DetachedHazardReport(**data)
 
 
 # ----------------------------------------------------------------------
@@ -254,12 +242,14 @@ def _sg_from_json(data: Dict):
     from repro.sg.graph import SignalEvent, StateGraph
 
     states = [_decode_state(entry) for entry in data["states"]]
+    # one event object per signal edge, shared by all of its arcs
+    events = {(s, d): SignalEvent(s, d) for s in data["signals"] for d in (1, -1)}
     return StateGraph(
         tuple(data["signals"]),
         frozenset(data["inputs"]),
         {state: tuple(code) for state, code in zip(states, data["codes"])},
         [
-            (states[s], SignalEvent(signal, direction), states[t])
+            (states[s], events[signal, direction], states[t])
             for s, signal, direction, t in data["arcs"]
         ],
         states[data["initial"]],
@@ -267,24 +257,15 @@ def _sg_from_json(data: Dict):
     )
 
 
-def _er_to_json(er) -> Dict:
-    return {
-        "signal": er.signal,
-        "direction": er.direction,
-        "index": er.index,
-        "states": _states_to_json(er.states),
-    }
+def _er_to_json(er) -> List:
+    return [er.signal, er.direction, er.index, _states_to_json(er.states)]
 
 
-def _er_from_json(data: Dict):
+def _er_from_json(data: List):
     from repro.sg.regions import ExcitationRegion
 
-    return ExcitationRegion(
-        signal=data["signal"],
-        direction=data["direction"],
-        index=data["index"],
-        states=_states_from_json(data["states"]),
-    )
+    signal, direction, index, states = data
+    return ExcitationRegion(signal, direction, index, _states_from_json(states))
 
 
 def _space_of(sg):
@@ -358,6 +339,16 @@ def _mc_report_from_full_json(data: Dict, sg, space):
     return MCReport(sg=sg, verdicts=verdicts)
 
 
+def _sg_from_reference(entry, reached):
+    """An embedded state graph, or the upstream ``reach`` graph that a
+    reference names by its fingerprint (a mismatch is a coding error)."""
+    if not isinstance(entry, str):
+        return _sg_from_json(entry)
+    if reached is None or entry != reached.fingerprint:
+        raise ArtifactCodingError("state graph reference does not match upstream")
+    return reached.sg
+
+
 def reached_sg_to_json(artifact) -> Dict:
     """Stage ``reach``.  The source STG is not persisted -- no
     downstream stage reads it, and the store key already identifies it."""
@@ -370,11 +361,11 @@ def reached_sg_to_json(artifact) -> Dict:
 def reached_sg_from_json(data: Dict):
     from repro.pipeline.artifacts import ReachedSG
 
-    return ReachedSG(
-        sg=_sg_from_json(data["sg"]),
-        source=None,
-        fingerprint=data["fingerprint"],
-    )
+    sg = _sg_from_json(data["sg"])
+    # the recorded digest is fingerprint_state_graph(sg); seeding its
+    # cache spares downstream references a re-hash of the whole graph
+    sg._analysis_cache["pipeline_fingerprint"] = data["fingerprint"]
+    return ReachedSG(sg=sg, source=None, fingerprint=data["fingerprint"])
 
 
 def region_map_to_json(artifact) -> Dict:
@@ -382,7 +373,6 @@ def region_map_to_json(artifact) -> Dict:
     return {
         "regions": [_er_to_json(er) for er in artifact.regions],
         "fingerprint": artifact.fingerprint,
-        "signal_fingerprints": [list(pair) for pair in artifact.signal_fingerprints],
     }
 
 
@@ -392,45 +382,31 @@ def region_map_from_json(data: Dict):
     return RegionMap(
         regions=tuple(_er_from_json(er) for er in data["regions"]),
         fingerprint=data["fingerprint"],
-        signal_fingerprints=tuple(
-            (str(signal), str(digest))
-            for signal, digest in data.get("signal_fingerprints", ())
-        ),
     )
 
 
-def mc_verdict_to_json(artifact) -> Dict:
-    """Stage ``mc``: the full report plus the graph it analysed.
+def mc_verdict_to_json(artifact, *_upstream) -> Dict:
+    """Stage ``mc``: the full report (verdict state sets included); the
+    analysed graph -- the upstream reach graph -- by fingerprint."""
+    from repro.pipeline.artifacts import fingerprint_state_graph
 
-    The graph is embedded so a loaded report is self-contained: its
-    region verdicts compare equal (state sets included) to those a
-    fresh analysis of the same graph would produce.
-    """
-    space = _space_of(artifact.report.sg)
+    sg = artifact.report.sg
     return {
-        "sg": _sg_to_json(artifact.report.sg),
-        "report": _mc_report_to_full_json(artifact.report, space),
+        "sg": fingerprint_state_graph(sg),
+        "report": _mc_report_to_full_json(artifact.report, _space_of(sg)),
         "backend": artifact.backend,
         "fingerprint": artifact.fingerprint,
-        "function_fingerprints": [
-            list(pair) for pair in artifact.function_fingerprints
-        ],
     }
 
 
-def mc_verdict_from_json(data: Dict):
+def mc_verdict_from_json(data: Dict, reached=None):
     from repro.pipeline.artifacts import MCVerdict
 
-    sg = _sg_from_json(data["sg"])
-    space = _space_of(sg)
+    sg = _sg_from_reference(data["sg"], reached)
     return MCVerdict(
-        report=_mc_report_from_full_json(data["report"], sg, space),
+        report=_mc_report_from_full_json(data["report"], sg, _space_of(sg)),
         backend=data["backend"],
         fingerprint=data["fingerprint"],
-        function_fingerprints=tuple(
-            (str(name), str(digest))
-            for name, digest in data.get("function_fingerprints", ())
-        ),
     )
 
 
@@ -478,29 +454,31 @@ def _network_from_json(signal: str, data: Dict, space):
     )
 
 
-def cover_plan_to_json(artifact) -> Dict:
+def cover_plan_to_json(artifact, reached=None, mc=None) -> Dict:
     """Stage ``covers``: insertion outcome + implementation, faithfully.
 
+    Graph and report are references when they are the upstream
+    ``reached.sg`` / ``mc.report`` objects (insertion added no signal).
     Cube order inside each cover is preserved (it determines gate
-    naming and equation text downstream), and the final MC report
-    keeps its full state sets.  The per-round SAT labellings are the one
-    thing dropped: nothing downstream of the stage reads them.
+    naming and equation text downstream).  The per-round SAT labellings
+    are the one thing dropped: nothing downstream reads them.
     """
     insertion = artifact.insertion
     implementation = artifact.implementation
     if implementation.sg is not insertion.sg:
-        from repro.pipeline.artifacts import fingerprint_state_graph
-
-        if fingerprint_state_graph(implementation.sg) != fingerprint_state_graph(
-            insertion.sg
-        ):
-            raise ArtifactCodingError(
-                "insertion and implementation disagree on the state graph"
-            )
+        raise ArtifactCodingError(
+            "insertion and implementation disagree on the state graph"
+        )
     space = _space_of(insertion.sg)
+    sg_is_upstream = reached is not None and insertion.sg is reached.sg
+    report_is_upstream = mc is not None and insertion.report is mc.report
     return {
-        "sg": _sg_to_json(insertion.sg),
-        "report": _mc_report_to_full_json(insertion.report, space),
+        "sg": reached.fingerprint if sg_is_upstream else _sg_to_json(insertion.sg),
+        "report": (
+            mc.fingerprint
+            if report_is_upstream
+            else _mc_report_to_full_json(insertion.report, space)
+        ),
         "rounds": [
             {
                 "signal": r.signal,
@@ -520,14 +498,19 @@ def cover_plan_to_json(artifact) -> Dict:
     }
 
 
-def cover_plan_from_json(data: Dict):
+def cover_plan_from_json(data: Dict, reached=None, mc=None):
     from repro.core.insertion import InsertionResult, InsertionRound
     from repro.core.synthesis import Implementation
     from repro.pipeline.artifacts import CoverPlan
 
-    sg = _sg_from_json(data["sg"])
+    sg = _sg_from_reference(data["sg"], reached)
     space = _space_of(sg)
-    report = _mc_report_from_full_json(data["report"], sg, space)
+    if not isinstance(data["report"], str):
+        report = _mc_report_from_full_json(data["report"], sg, space)
+    elif mc is not None and data["report"] == mc.fingerprint:
+        report = mc.report
+    else:
+        raise ArtifactCodingError("MC report reference does not match upstream")
     rounds = [
         InsertionRound(
             signal=entry["signal"],
@@ -557,24 +540,20 @@ def cover_plan_from_json(data: Dict):
 def synthesized_netlist_to_json(artifact) -> Dict:
     """Stage ``netlist``: the netlist faithfully, the hazard report as
     its verdict (no downstream stage consumes the witness traces)."""
-    import json as _json
-
     from repro.netlist.io import netlist_to_json
 
     return {
-        "netlist": _json.loads(netlist_to_json(artifact.netlist)),
+        "netlist": json.loads(netlist_to_json(artifact.netlist)),
         "hazard": _hazard_to_json(artifact.hazard_report),
         "fingerprint": artifact.fingerprint,
     }
 
 
 def synthesized_netlist_from_json(data: Dict):
-    import json as _json
-
     from repro.netlist.io import netlist_from_json
     from repro.pipeline.artifacts import SynthesizedNetlist
 
-    netlist = netlist_from_json(_json.dumps(data["netlist"]))
+    netlist = netlist_from_json(json.dumps(data["netlist"]))
     hazard = _hazard_from_json(data["hazard"])
     if hazard is not None:
         hazard.netlist = netlist
@@ -595,20 +574,24 @@ STAGE_CODECS = {
 }
 
 
-def stage_artifact_to_json(stage: str, artifact) -> Dict:
+def stage_artifact_to_json(stage: str, artifact, upstream: Tuple = ()) -> Dict:
     """Serialise one pipeline stage artifact for the persistent store.
 
+    Parts that are ``upstream`` artifacts' (``(reached,)`` for ``mc``,
+    ``(reached, mc)`` for ``covers``) are written as references.
     Raises :class:`ArtifactCodingError` when the artifact cannot be
     spilled faithfully and :class:`KeyError` for an unknown stage.
     """
     encode, _ = STAGE_CODECS[stage]
-    return encode(artifact)
+    return encode(artifact, *upstream)
 
 
-def stage_artifact_from_json(stage: str, data: Dict):
-    """Rebuild one pipeline stage artifact from its store payload."""
+def stage_artifact_from_json(stage: str, data: Dict, upstream: Tuple = ()):
+    """Rebuild one pipeline stage artifact from its store payload;
+    references resolve against ``upstream`` (a mismatch raises
+    :class:`ArtifactCodingError`)."""
     _, decode = STAGE_CODECS[stage]
-    return decode(data)
+    return decode(data, *upstream)
 
 
 # ----------------------------------------------------------------------

@@ -14,19 +14,17 @@ One entry per ``(stage, memo-key)`` pair::
 Each entry is a JSON envelope stamped with a schema version and the key
 it answers for::
 
-    {"schema": "repro-artifact-store/4", "stage": "mc",
+    {"schema": "repro-artifact-store/5", "stage": "mc",
      "key": ["'<fp>'", "'bitengine'"], "artifact": {...}}
 
-Envelope ``/4`` keeps the ``/3`` payloads.  It was bumped because
-``/3`` ``covers`` entries hold insertion results found by the earlier
-DPLL SAT solver, and the CDCL solver may pick a different circuit for
-the same spec.  ``/3`` added per-signal region fingerprints and
-per-function MC fingerprints to the ``regions``/``mc`` payloads (delta
-re-synthesis hints); ``/2`` stored cubes in the compiled IR form
-(``[mask, value]`` big-int pairs against the embedded graph's signal
-order).  Older envelopes are not migrated -- the schema check degrades
-them to counted ``corrupt`` misses and they are rewritten on the next
-put.
+Envelope ``/5`` stores each state graph once, in the ``reach`` entry.
+The ``mc`` payload and a no-insertion ``covers`` payload name that
+graph (and ``covers`` the ``mc`` report) by fingerprint; ``get``
+resolves the references against the upstream artifacts its caller
+passes, so a warm hit rebuilds no graph the process already holds.
+Older envelopes are not migrated -- the schema check degrades them to
+counted ``corrupt`` misses and they are rewritten on the next put
+(docs/FORMATS.md has the version history).
 
 The store is **content-addressed**: the digest is computed over the
 ``repr`` of every key component, and the memo keys chain upstream
@@ -37,8 +35,9 @@ analysis result.
 Robustness rules, in order of importance:
 
 * **A bad entry is a miss, never a crash.**  Truncated files, foreign
-  JSON, schema/stage/key mismatches and decoding errors all count as
-  ``corrupt`` misses; the offending file is deleted best-effort.
+  JSON, schema/stage/key mismatches, references that do not match the
+  upstream artifacts and decoding errors all count as ``corrupt``
+  misses; the offending file is deleted best-effort.
 * **Writes are atomic.**  Entries are written to a same-directory temp
   file and ``os.replace``-d into place, so concurrent writers (batch
   workers racing on one key) each publish a complete entry and readers
@@ -49,9 +48,10 @@ Robustness rules, in order of importance:
 
 Eviction is LRU by file mtime: ``get`` bumps the entry's mtime, ``put``
 trims the store to ``max_entries`` (oldest first, the entry just
-written is protected).  Hit/miss/evict counters are kept per stage and
-mirrored into :mod:`repro.perf` (``store-hit:<stage>`` etc.) so CLI
-``--profile`` output and the bench harness surface store traffic.
+written is protected; entry files are stat-ed only over the cap).
+Hit/miss/evict counters are kept per stage and mirrored into
+:mod:`repro.perf` (``store-hit:<stage>`` etc.) so CLI ``--profile``
+output and the bench harness surface store traffic.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.pipeline.serialize import (
 
 #: envelope schema stamp; bump on any incompatible payload change (old
 #: entries then read as corrupt misses and are rewritten, never crash)
-STORE_SCHEMA = "repro-artifact-store/4"
+STORE_SCHEMA = "repro-artifact-store/5"
 
 #: the store event vocabulary, in reporting order
 EVENTS = ("hit", "miss", "corrupt", "put", "skip", "evict")
@@ -143,12 +143,15 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # The cache protocol
     # ------------------------------------------------------------------
-    def get(self, stage: str, key: Tuple):
+    def get(self, stage: str, key: Tuple, upstream: Tuple = ()):
         """The persisted artifact for ``(stage, key)``, or ``None``.
 
-        Any defect in the entry -- unreadable, truncated, foreign
-        schema, key mismatch, undecodable payload -- deletes it
-        best-effort and reports a miss.
+        ``upstream`` holds the upstream stage artifacts the payload may
+        refer to (see :mod:`repro.pipeline.serialize`).  Any defect in
+        the entry -- unreadable, truncated, foreign schema, key
+        mismatch, undecodable payload, a reference the upstream
+        artifacts do not match -- deletes it best-effort and reports a
+        miss.
         """
         path = self.path_for(stage, key)
         try:
@@ -167,7 +170,9 @@ class ArtifactStore:
                 raise ArtifactCodingError("stage mismatch")
             if tuple(envelope["key"]) != self._key_reprs(stage, key):
                 raise ArtifactCodingError("key mismatch")
-            artifact = stage_artifact_from_json(stage, envelope["artifact"])
+            artifact = stage_artifact_from_json(
+                stage, envelope["artifact"], upstream
+            )
         except Exception:
             self._discard_corrupt(path, stage)
             return None
@@ -175,14 +180,16 @@ class ArtifactStore:
         self._count("hit", stage)
         return artifact
 
-    def put(self, stage: str, key: Tuple, artifact) -> bool:
+    def put(self, stage: str, key: Tuple, artifact, upstream: Tuple = ()) -> bool:
         """Persist ``artifact`` under ``(stage, key)``; True if written.
 
+        ``upstream`` is what a later ``get`` will pass: parts of the
+        artifact that are upstream objects are stored as references.
         Artifacts that cannot be spilled faithfully are skipped (the
         memo cache keeps them in memory); unknown stages are an error.
         """
         try:
-            payload = stage_artifact_to_json(stage, artifact)
+            payload = stage_artifact_to_json(stage, artifact, upstream)
         except ArtifactCodingError:
             self._count("skip", stage)
             return False
@@ -198,7 +205,7 @@ class ArtifactStore:
         tmp = os.path.join(directory, f".tmp-{os.getpid()}-{id(artifact):x}")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, separators=(",", ":"))
+                handle.write(json.dumps(envelope, separators=(",", ":")))
             os.replace(tmp, path)
         except OSError:
             try:
@@ -217,7 +224,8 @@ class ArtifactStore:
         """Evict least-recently-used entries beyond ``max_entries``.
 
         ``protect`` exempts one path (the entry just written).  Returns
-        the number of entries evicted.
+        the number of entries evicted.  Entry files are only stat-ed
+        when the store is over its cap.
         """
         if self.max_entries is None:
             return 0
@@ -225,8 +233,14 @@ class ArtifactStore:
         excess = len(entries) - self.max_entries
         if excess <= 0:
             return 0
+        by_age = []
+        for path, stage in entries:
+            try:
+                by_age.append((os.stat(path).st_mtime, path, stage))
+            except OSError:
+                continue  # racing eviction/corruption cleanup
         evicted = 0
-        for mtime, path, stage in sorted(entries):
+        for _, path, stage in sorted(by_age):
             if evicted >= excess:
                 break
             if path == protect:
@@ -239,22 +253,11 @@ class ArtifactStore:
             evicted += 1
         return evicted
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for _, path, _ in self._entries():
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def __len__(self) -> int:
         return len(self._entries())
 
     def _entries(self):
-        """All ``(mtime, path, stage)`` entries currently on disk."""
+        """All ``(path, stage)`` entries currently on disk."""
         found = []
         try:
             stages = sorted(os.listdir(self.root))
@@ -266,15 +269,11 @@ class ArtifactStore:
                 names = sorted(os.listdir(directory))
             except OSError:
                 continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(directory, name)
-                try:
-                    mtime = os.stat(path).st_mtime
-                except OSError:
-                    continue  # racing eviction/corruption cleanup
-                found.append((mtime, path, stage))
+            found.extend(
+                (os.path.join(directory, name), stage)
+                for name in names
+                if name.endswith(".json")
+            )
         return found
 
     @staticmethod

@@ -29,6 +29,8 @@ from repro.sg.events import SignalEvent
 State = Hashable
 Arc = Tuple[State, SignalEvent, State]
 
+_BITS = frozenset((0, 1))
+
 
 class InconsistentStateGraph(ValueError):
     """Raised when arcs and codes violate the consistency rules."""
@@ -73,9 +75,10 @@ class StateGraph:
             raise InconsistentStateGraph(f"inputs not in signal list: {sorted(unknown)}")
         self._index: Dict[str, int] = {s: i for i, s in enumerate(self.signals)}
         self._codes: Dict[State, Tuple[int, ...]] = {}
+        width = len(self.signals)
         for state, code in codes.items():
-            vector = tuple(int(v) for v in code)
-            if len(vector) != len(self.signals) or any(v not in (0, 1) for v in vector):
+            vector = tuple(map(int, code))
+            if len(vector) != width or not _BITS.issuperset(vector):
                 raise InconsistentStateGraph(f"bad code for state {state!r}: {code!r}")
             self._codes[state] = vector
         if initial not in self._codes:
@@ -121,12 +124,22 @@ class StateGraph:
     # ------------------------------------------------------------------
     def _check_arc(self, source: State, event: SignalEvent, target: State) -> None:
         """Enforce the consistent state assignment rules of Sec. II-A."""
-        if event.signal not in self._index:
+        i = self._index.get(event.signal)
+        src, dst = self._codes[source], self._codes[target]
+        if i is not None:
+            after = 1 if event.direction == 1 else 0
+            if (
+                dst[i] == after
+                and src[i] != after
+                and src[:i] == dst[:i]
+                and src[i + 1 :] == dst[i + 1 :]
+            ):
+                return
+        # slow path: only reached to name the violated rule
+        if i is None:
             raise InconsistentStateGraph(
                 f"arc event on unknown signal {event.signal!r}"
             )
-        i = self._index[event.signal]
-        src, dst = self._codes[source], self._codes[target]
         if src[i] != event.value_before or dst[i] != event.value_after:
             raise InconsistentStateGraph(
                 f"arc {source!r} --{event}--> {target!r} conflicts with codes "

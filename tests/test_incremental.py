@@ -5,7 +5,7 @@ what a cold from-scratch pipeline produces for the edited spec.  The
 randomized edit-sequence test drives that invariant through chains of
 random :class:`SpecDelta` s; the unit tests below pin the individual
 reuse mechanisms (snapshot replay, incremental SAT, MC verdict
-adoption, the reuse ledger, and the ``/3`` store payload fields).
+adoption, the reuse ledger, and delta hints served by the store).
 """
 
 import json
@@ -282,33 +282,26 @@ class TestReuseLedger:
 
 
 # ----------------------------------------------------------------------
-# Store payload round-trip of the /3 fingerprint fields
+# Delta hints served by the persistent store
 # ----------------------------------------------------------------------
-class TestFingerprintRoundTrip:
-    def test_regions_and_mc_payloads_preserve_per_part_digests(self):
-        from repro.pipeline.serialize import (
-            mc_verdict_from_json,
-            mc_verdict_to_json,
-            region_map_from_json,
-            region_map_to_json,
-        )
-
-        pipeline = Pipeline(AnalysisContext())
+class TestStoreServedDelta:
+    def test_delta_sees_base_only_through_store(self, tmp_path):
+        """A fresh context finds the base's artifacts in the store alone
+        and still adopts base verdicts, byte-identically."""
+        root = str(tmp_path / "store")
         spec = PipelineSpec.from_stg(load_benchmark("nowick"), verify=False)
-        regions = pipeline.run(spec, until="regions")
-        verdict = pipeline.run(spec, until="mc")
+        Pipeline(AnalysisContext(store=root)).run(spec)
 
-        assert regions.signal_fingerprints and verdict.function_fingerprints
+        fresh = AnalysisContext(store=root)
+        incremental = Pipeline(fresh).run(spec, delta="retype y internal")
+        assert fresh.store.totals()["corrupt"] == 0
+        ledger = fresh.last_reuse
+        assert ledger["mc"]["mode"] == "partial"
+        assert ledger["mc"]["reused_functions"] > 0
 
-        wire = json.loads(json.dumps(region_map_to_json(regions)))
-        loaded = region_map_from_json(wire)
-        assert loaded.fingerprint == regions.fingerprint
-        assert loaded.signal_fingerprints == regions.signal_fingerprints
-
-        wire = json.loads(json.dumps(mc_verdict_to_json(verdict)))
-        loaded = mc_verdict_from_json(wire)
-        assert loaded.fingerprint == verdict.fingerprint
-        assert loaded.function_fingerprints == verdict.function_fingerprints
+        edited = spec.apply_delta("retype y internal")
+        cold = Pipeline(AnalysisContext()).run(edited)
+        assert incremental.fingerprint == cold.fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,39 @@ pytestmark = pytest.mark.smoke
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _stage_artifacts(design):
+    pipeline = Pipeline(AnalysisContext())
+    spec = PipelineSpec.from_benchmark(design)
+    return {stage: pipeline.run(spec, until=stage) for stage in STAGES}
+
+
+def upstream_of(artifacts, stage):
+    """The upstream artifacts a stage payload may refer to."""
+    return {
+        "mc": (artifacts["reach"],),
+        "covers": (artifacts["reach"], artifacts["mc"]),
+    }.get(stage, ())
+
+
+def round_trip(artifacts, stage):
+    """Encode and decode one stage artifact against its upstream."""
+    upstream = upstream_of(artifacts, stage)
+    payload = json.loads(
+        json.dumps(stage_artifact_to_json(stage, artifacts[stage], upstream))
+    )
+    return payload, stage_artifact_from_json(stage, payload, upstream)
+
+
 @pytest.fixture(scope="module")
 def artifacts():
     """Every stage artifact of one insertion-requiring design."""
-    pipeline = Pipeline(AnalysisContext())
-    spec = PipelineSpec.from_benchmark("delement")
-    return {stage: pipeline.run(spec, until=stage) for stage in STAGES}
+    return _stage_artifacts("delement")
+
+
+@pytest.fixture(scope="module")
+def plain_artifacts():
+    """Every stage artifact of a design that needs no insertion."""
+    return _stage_artifacts("mp-forward-pkt")
 
 
 # ----------------------------------------------------------------------
@@ -35,11 +62,9 @@ class TestStageCodecs:
     @pytest.mark.parametrize("stage", STAGES)
     def test_round_trip_stable(self, artifacts, stage):
         """to_json(from_json(x)) == x, through a real JSON pass."""
-        payload = json.loads(
-            json.dumps(stage_artifact_to_json(stage, artifacts[stage]))
-        )
-        loaded = stage_artifact_from_json(stage, payload)
-        assert stage_artifact_to_json(stage, loaded) == payload
+        payload, loaded = round_trip(artifacts, stage)
+        upstream = upstream_of(artifacts, stage)
+        assert stage_artifact_to_json(stage, loaded, upstream) == payload
         assert loaded.fingerprint == artifacts[stage].fingerprint
 
     def test_reach_round_trip_preserves_graph(self, artifacts):
@@ -60,10 +85,11 @@ class TestStageCodecs:
         assert all(er.states for er in loaded.regions)
 
     def test_mc_round_trip_keeps_verdicts(self, artifacts):
-        loaded = stage_artifact_from_json(
-            "mc", stage_artifact_to_json("mc", artifacts["mc"])
-        )
+        payload, loaded = round_trip(artifacts, "mc")
         original = artifacts["mc"]
+        # the graph is stored once, in the reach entry
+        assert payload["sg"] == artifacts["reach"].fingerprint
+        assert loaded.report.sg is artifacts["reach"].sg
         assert loaded.backend == original.backend
         assert len(loaded.report.verdicts) == len(original.report.verdicts)
         for mine, theirs in zip(loaded.report.verdicts, original.report.verdicts):
@@ -79,9 +105,7 @@ class TestStageCodecs:
         from repro.pipeline.artifacts import fingerprint_netlist
         from repro.netlist.hazards import verify_speed_independence
 
-        loaded = stage_artifact_from_json(
-            "covers", stage_artifact_to_json("covers", artifacts["covers"])
-        )
+        _, loaded = round_trip(artifacts, "covers")
         assert loaded.added_signals == artifacts["covers"].added_signals
         assert (
             loaded.implementation.equations()
@@ -95,6 +119,56 @@ class TestStageCodecs:
             fingerprint_netlist(loaded.fingerprint, netlist, report)
             == fresh.fingerprint
         )
+
+    def test_inserted_covers_embed_their_own_graph(self, artifacts):
+        """Insertion changed graph and report: covers carries both."""
+        from repro.pipeline.artifacts import fingerprint_state_graph
+
+        assert artifacts["covers"].added_signals
+        payload, loaded = round_trip(artifacts, "covers")
+        assert isinstance(payload["sg"], dict)
+        assert isinstance(payload["report"], dict)
+        assert loaded.sg is not artifacts["reach"].sg
+        assert fingerprint_state_graph(loaded.sg) == fingerprint_state_graph(
+            artifacts["covers"].sg
+        )
+        assert loaded.insertion.report.sg is loaded.sg
+        assert loaded.implementation.sg is loaded.sg
+
+    def test_plain_covers_refer_to_upstream(self, plain_artifacts):
+        """No insertion: covers names the reach graph and the mc report."""
+        assert not plain_artifacts["covers"].added_signals
+        payload, loaded = round_trip(plain_artifacts, "covers")
+        assert payload["sg"] == plain_artifacts["reach"].fingerprint
+        assert payload["report"] == plain_artifacts["mc"].fingerprint
+        assert loaded.sg is plain_artifacts["reach"].sg
+        assert loaded.insertion.report is plain_artifacts["mc"].report
+        assert (
+            loaded.implementation.equations()
+            == plain_artifacts["covers"].implementation.equations()
+        )
+
+    def test_covers_references_resolve_against_equal_graph_objects(
+        self, plain_artifacts
+    ):
+        """Two specs may elaborate to one graph, so a memoised mc report
+        can hold a different object for the graph than the reach in
+        hand.  The covers references still resolve, pairing the two as
+        a fresh insertion would."""
+        reach = Pipeline(AnalysisContext()).run(
+            PipelineSpec.from_benchmark("mp-forward-pkt"), until="reach"
+        )
+        assert reach.sg is not plain_artifacts["reach"].sg
+        assert reach.fingerprint == plain_artifacts["reach"].fingerprint
+        payload = stage_artifact_to_json(
+            "covers", plain_artifacts["covers"], upstream_of(plain_artifacts, "covers")
+        )
+        loaded = stage_artifact_from_json(
+            "covers", payload, (reach, plain_artifacts["mc"])
+        )
+        assert loaded.fingerprint == plain_artifacts["covers"].fingerprint
+        assert loaded.sg is reach.sg
+        assert loaded.insertion.report is plain_artifacts["mc"].report
 
     def test_netlist_round_trip_detached_hazard(self, artifacts):
         loaded = stage_artifact_from_json(
@@ -206,22 +280,71 @@ class TestArtifactStore:
         assert store.put("reach", key, artifacts["reach"])
         assert store.get("reach", key) is not None
 
-    def test_v3_envelope_is_counted_miss(self, tmp_path, artifacts):
-        """``/3`` entries may hold circuits found by the earlier DPLL
-        solver; they are corrupt misses, never served."""
+    @staticmethod
+    def _assert_old_schema_is_counted_miss(tmp_path, artifacts, schema):
         from repro.pipeline.store import STORE_SCHEMA
 
-        assert STORE_SCHEMA == "repro-artifact-store/4"
+        assert STORE_SCHEMA == "repro-artifact-store/5"
         store = ArtifactStore(str(tmp_path / "store"))
         key = ("fp",)
         store.put("reach", key, artifacts["reach"])
         path = store.path_for("reach", key)
         entry = json.load(open(path))
-        entry["schema"] = "repro-artifact-store/3"
+        entry["schema"] = schema
         json.dump(entry, open(path, "w"))
         assert store.get("reach", key) is None
         assert store.stats()["corrupt"] == {"reach": 1}
         assert not os.path.exists(path)
+
+    def test_v3_envelope_is_counted_miss(self, tmp_path, artifacts):
+        """``/3`` entries may hold circuits found by the earlier DPLL
+        solver; they are corrupt misses, never served."""
+        self._assert_old_schema_is_counted_miss(
+            tmp_path, artifacts, "repro-artifact-store/3"
+        )
+
+    def test_v4_envelope_is_counted_miss(self, tmp_path, artifacts):
+        """``/4`` entries embed the graph in every payload and carry
+        digest fields ``/5`` dropped; they are corrupt misses."""
+        self._assert_old_schema_is_counted_miss(
+            tmp_path, artifacts, "repro-artifact-store/4"
+        )
+
+    def test_graph_reference_mismatch_is_corrupt_miss(
+        self, tmp_path, artifacts, plain_artifacts
+    ):
+        """An mc entry resolved against a different reach graph is a
+        counted corrupt miss, and the entry is discarded."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        key = ("fp", "bitengine")
+        assert store.put("mc", key, artifacts["mc"], (artifacts["reach"],))
+        path = store.path_for("mc", key)
+        assert store.get("mc", key, (plain_artifacts["reach"],)) is None
+        assert store.stats()["corrupt"] == {"mc": 1}
+        assert not os.path.exists(path)
+        # without an upstream graph the reference cannot resolve either
+        assert store.put("mc", key, artifacts["mc"])
+        assert store.get("mc", key) is None
+        assert store.stats()["corrupt"] == {"mc": 2}
+
+    def test_warm_hits_share_the_reach_graph(self, tmp_path):
+        """A warm mc/covers hit resolves to the reach graph object, as
+        in a fresh run, instead of decoding copies of it."""
+        root = str(tmp_path / "store")
+        spec = PipelineSpec.from_benchmark("mp-forward-pkt")
+        Pipeline(AnalysisContext(store=root)).run(spec, until="netlist")
+
+        warm = AnalysisContext(store=root)
+        pipeline = Pipeline(warm)
+        reached = pipeline.run(spec, until="reach")
+        mc = pipeline.run(spec, until="mc")
+        covers = pipeline.run(spec, until="covers")
+        assert warm.store.totals()["hit"] == 4
+        assert warm.store.totals()["miss"] == 0
+        assert mc.report.sg is reached.sg
+        assert covers.sg is reached.sg
+        assert covers.insertion.report is mc.report
+        assert covers.implementation.sg is reached.sg
 
     def test_key_mismatch_is_miss(self, tmp_path, artifacts):
         """A colliding/moved file never answers for the wrong key."""
@@ -268,6 +391,24 @@ class TestArtifactStore:
         assert store.get("reach", ("a",)) is not None
         assert store.get("reach", ("c",)) is not None
         assert store.stats()["evict"] == {"reach": 1}
+
+    def test_put_under_cap_stats_no_other_entry(self, tmp_path, artifacts, monkeypatch):
+        store = ArtifactStore(str(tmp_path / "store"), max_entries=10)
+        for name in "abc":
+            store.put("reach", (name,), artifacts["reach"])
+        others = {store.path_for("reach", (name,)) for name in "abc"}
+        statted = []
+        real_stat = os.stat
+
+        def spy(path, *args, **kwargs):
+            statted.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", spy)
+        assert store.put("reach", ("d",), artifacts["reach"])
+        monkeypatch.undo()
+        assert not others & set(statted)
+        assert len(store) == 4
 
     def test_max_entries_validation(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):

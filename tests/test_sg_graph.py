@@ -1,5 +1,7 @@
 """Unit tests for the StateGraph automaton."""
 
+import re
+
 import pytest
 
 from repro.sg.events import SignalEvent
@@ -40,7 +42,8 @@ class TestConstruction:
             StateGraph(("a",), (), {"s": (0,)}, [], "t")
 
     def test_arc_must_flip_named_bit(self):
-        with pytest.raises(InconsistentStateGraph):
+        message = "arc 's' --a+--> 't' conflicts with codes (0,) -> (0,)"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
             StateGraph(
                 ("a",),
                 (),
@@ -48,9 +51,20 @@ class TestConstruction:
                 [("s", SignalEvent.rise("a"), "t")],
                 "s",
             )
+        # a flip in the direction opposite to the event's
+        message = "arc 's' --b+--> 't' conflicts with codes (0, 1) -> (0, 0)"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
+            StateGraph(
+                ("a", "b"),
+                (),
+                {"s": (0, 1), "t": (0, 0)},
+                [("s", SignalEvent.rise("b"), "t")],
+                "s",
+            )
 
     def test_arc_must_not_change_other_bits(self):
-        with pytest.raises(InconsistentStateGraph):
+        message = "arc 's' --a+--> 't' changes signal 'b' not named by the event"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
             StateGraph(
                 ("a", "b"),
                 (),
@@ -58,9 +72,41 @@ class TestConstruction:
                 [("s", SignalEvent.rise("a"), "t")],
                 "s",
             )
+        # a change on either side of the event's bit is caught
+        message = "arc 's' --b---> 't' changes signal 'a' not named by the event"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
+            StateGraph(
+                ("a", "b", "c"),
+                (),
+                {"s": (1, 1, 0), "t": (0, 0, 0)},
+                [("s", SignalEvent.fall("b"), "t")],
+                "s",
+            )
+
+    def test_consistent_arcs_accepted_at_every_position(self):
+        sg = StateGraph(
+            ("a", "b", "c"),
+            (),
+            {
+                "s": (0, 0, 0),
+                "t": (1, 0, 0),
+                "u": (1, 1, 0),
+                "v": (1, 1, 1),
+                "w": (0, 1, 1),
+            },
+            [
+                ("s", SignalEvent.rise("a"), "t"),
+                ("t", SignalEvent.rise("b"), "u"),
+                ("u", SignalEvent.rise("c"), "v"),
+                ("v", SignalEvent.fall("a"), "w"),
+            ],
+            "s",
+        )
+        assert len(sg.arcs()) == 4
 
     def test_arc_event_on_unknown_signal(self):
-        with pytest.raises(InconsistentStateGraph):
+        message = "arc event on unknown signal 'z'"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
             StateGraph(
                 ("a",),
                 (),
