@@ -34,7 +34,7 @@ def test_unbounded_inverters_break_si(fig3, benchmark):
     assert not report.hazard_free
     print(
         f"\n[inverters/unbounded] HAZARDOUS: {len(report.conflicts)} "
-        f"conflicts over {len(report.circuit_sg)} circuit states"
+        f"conflicts over {report.circuit_states} circuit states"
     )
 
 

@@ -64,7 +64,7 @@ def test_latch_decomposition_ablation(fig3, benchmark):
     assert not discrete_report.hazard_free
     print(
         f"\n[latch ablation] atomic RS: hazard-free "
-        f"({len(atomic_report.circuit_sg)} states); discrete NOR pair: "
+        f"({atomic_report.circuit_states} states); discrete NOR pair: "
         f"{len(discrete_report.conflicts)} rail conflicts "
-        f"({len(discrete_report.circuit_sg)} states)"
+        f"({discrete_report.circuit_states} states)"
     )

@@ -32,6 +32,6 @@ def test_both_structures_speed_independent(fig3, style, benchmark):
     report = benchmark(verify_speed_independence, netlist, fig3)
     assert report.hazard_free
     print(
-        f"\n[fig2/{style}] {len(report.circuit_sg)} circuit states, "
+        f"\n[fig2/{style}] {report.circuit_states} circuit states, "
         f"{len(report.rs_overlaps)} transient S=R overlaps (held through)"
     )

@@ -55,4 +55,4 @@ def test_mc_implementation_is_hazard_free(fig3, benchmark):
     netlist = netlist_from_implementation(impl, "C")
     report = benchmark(verify_speed_independence, netlist, fig3)
     assert report.hazard_free
-    print(f"\n[fig3] circuit-level SG: {len(report.circuit_sg)} states, hazard-free")
+    print(f"\n[fig3] circuit-level SG: {report.circuit_states} states, hazard-free")

@@ -12,11 +12,12 @@ full Table-1 corpus (the ``store`` section): the warm sweep must serve
 every stage from disk (zero misses) and beat the cold sweep's wall
 time.
 
-The ``hazard-sim`` section records the compiled-IR win on circuit
-composition: the packed-int BFS (:func:`build_circuit_state_graph`)
-against the retained per-literal dict reference
-(:func:`build_circuit_state_graph_reference`) over every synthesized
-Table-1 netlist, next to the frozen paired A/B that accepted the IR.
+The ``hazard-sim`` section records the packed hazard check's win over
+every synthesized Table-1 netlist: :func:`verify_speed_independence`
+(packed BFS, conflicts on bit masks) against the retained per-literal
+dict reference (:func:`build_circuit_state_graph_reference` plus
+:func:`~repro.sg.properties.conflict_states` on its graph), next to the
+frozen paired A/B that accepted the packed check.
 
 Each measurement builds a *fresh* state graph per round: the engine
 memoises aggressively in ``sg._analysis_cache``, and a warm graph would
@@ -194,19 +195,21 @@ def test_store_cold_vs_warm(tmp_path):
 # Circuit composition: compiled-IR BFS vs dict reference (Table-1)
 # ----------------------------------------------------------------------
 
-#: total wall time for one composition sweep over every synthesized
-#: Table-1 netlist, per-literal dict evaluation (the path before the
-#: compiled IR; retained as build_circuit_state_graph_reference).
-#: Best/median over 7 interleaved trials of the paired A/B run that
-#: accepted the IR on this host. Frozen: do not re-measure.
-HAZARD_SIM_PRE_IR_MS = {
-    "table1_corpus": {"best": 34.62, "median": 37.04},
+#: total wall time for one hazard-check sweep over every synthesized
+#: Table-1 netlist: the retained per-literal dict BFS
+#: (build_circuit_state_graph_reference) plus conflict_states on its
+#: eagerly built circuit graph.  Best/median over 7 interleaved trials
+#: of the paired A/B run that accepted the packed hazard check on this
+#: host.  Frozen: do not re-measure.
+HAZARD_SIM_REFERENCE_CHECK_MS = {
+    "table1_corpus": {"best": 37.29, "median": 38.86},
 }
 
-#: the packed-int BFS times from the *same* paired run as the baseline
-#: above (1.58x best / 1.63x median). Frozen alongside it.
-HAZARD_SIM_PAIRED_POST_IR_MS = {
-    "table1_corpus": {"best": 21.97, "median": 22.76},
+#: verify_speed_independence (packed BFS, conflicts on bit masks, no
+#: circuit graph) from the *same* paired run as the reference above
+#: (5.89x best / 5.69x median). Frozen alongside it.
+HAZARD_SIM_PACKED_CHECK_MS = {
+    "table1_corpus": {"best": 6.33, "median": 6.83},
 }
 
 _hazard_sim_measured = {}
@@ -221,8 +224,8 @@ def _record_hazard_sim_json():
     update_pipeline_json(
         "hazard-sim",
         {
-            "pre_ir_baseline_ms": HAZARD_SIM_PRE_IR_MS,
-            "paired_post_ir_ms": HAZARD_SIM_PAIRED_POST_IR_MS,
+            "reference_check_ms": HAZARD_SIM_REFERENCE_CHECK_MS,
+            "packed_check_ms": HAZARD_SIM_PACKED_CHECK_MS,
             "measured_ms": _hazard_sim_measured,
         },
         path=_JSON_PATH,
@@ -240,23 +243,32 @@ def _table1_composition_pairs():
     return pairs
 
 
+def _reference_check(netlist, spec):
+    """The oracle hazard check: dict BFS, eager graph, conflict_states."""
+    from repro.netlist.circuit_sg import build_circuit_state_graph_reference
+    from repro.sg.properties import conflict_states
+
+    composition = build_circuit_state_graph_reference(netlist, spec)
+    return composition, conflict_states(composition.sg, composition.sg.non_inputs)
+
+
 def test_hazard_sim_packed_vs_reference():
-    """The packed BFS beats the dict reference and agrees state-for-state."""
+    """The packed hazard check beats the reference and agrees with it."""
     import time
 
-    from repro.netlist.circuit_sg import (
-        build_circuit_state_graph,
-        build_circuit_state_graph_reference,
-    )
+    from repro.netlist.hazards import verify_speed_independence
 
     pairs = _table1_composition_pairs()
 
     # parity first: the benchmark is meaningless if the paths diverge
     for netlist, spec in pairs:
-        packed = build_circuit_state_graph(netlist, spec)
-        reference = build_circuit_state_graph_reference(netlist, spec)
-        assert packed.sg.states == reference.sg.states
-        assert sorted(packed.sg.arcs()) == sorted(reference.sg.arcs())
+        report = verify_speed_independence(netlist, spec)
+        reference, conflicts = _reference_check(netlist, spec)
+        packed = report.composition
+        assert report.conflicts == conflicts
+        assert report.circuit_states == len(reference.sg)
+        assert packed.sg.state_list == reference.sg.state_list
+        assert packed.sg.arcs() == reference.sg.arcs()
         assert packed.conformance_failures == reference.conformance_failures
         assert packed.rs_violations == reference.rs_violations
 
@@ -264,11 +276,11 @@ def test_hazard_sim_packed_vs_reference():
     for _ in range(7):
         start = time.perf_counter()
         for netlist, spec in pairs:
-            build_circuit_state_graph(netlist, spec)
+            verify_speed_independence(netlist, spec)
         packed_times.append((time.perf_counter() - start) * 1000)
         start = time.perf_counter()
         for netlist, spec in pairs:
-            build_circuit_state_graph_reference(netlist, spec)
+            _reference_check(netlist, spec)
         reference_times.append((time.perf_counter() - start) * 1000)
 
     packed_times.sort()

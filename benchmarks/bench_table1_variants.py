@@ -31,7 +31,7 @@ def test_rs_structure(name, benchmark):
     report = benchmark(verify_speed_independence, netlist, sg)
     assert report.hazard_free, report.describe()
     print(
-        f"\n[table1/RS] {name}: hazard-free, {len(report.circuit_sg)} "
+        f"\n[table1/RS] {name}: hazard-free, {report.circuit_states} "
         f"circuit states, {len(report.rs_overlaps)} transient S=R overlaps"
     )
 

@@ -9,12 +9,12 @@ meaningless across CI runners, but the *ratio* between the two backends
 is not: both run on the same interpreter on the same host in the same
 process.
 
-The ``hazard-sim`` section freezes the analogous pair for circuit
-composition: the compiled-IR packed BFS
-(:func:`~repro.netlist.circuit_sg.build_circuit_state_graph`) against
-the retained per-literal dict reference
-(:func:`~repro.netlist.circuit_sg.build_circuit_state_graph_reference`)
-over every synthesized Table-1 netlist.
+The ``hazard-sim`` section freezes the analogous pair for the gate-level
+hazard check over every synthesized Table-1 netlist: the packed check
+(:func:`~repro.netlist.hazards.verify_speed_independence`, which builds
+no circuit graph) against the retained per-literal dict reference
+(:func:`~repro.netlist.circuit_sg.build_circuit_state_graph_reference`
+plus :func:`~repro.sg.properties.conflict_states` on its graph).
 
 The ``incremental`` section (written by ``benchmarks/bench_incremental.py``)
 freezes the single-edit warm-vs-cold re-synthesis measurement of the
@@ -110,29 +110,32 @@ def frozen_ratios(path: str = _JSON_PATH) -> dict:
 
 
 def frozen_hazard_sim_ratios(path: str = _JSON_PATH) -> dict:
-    """Frozen (dict reference / packed BFS) composition ratios."""
+    """Frozen (reference check / packed check) hazard-check ratios."""
     with open(path) as handle:
         document = json.load(handle)
     section = document["hazard-sim"]
     return FrozenBaseline(
         reference_ms={
             case: row["best"]
-            for case, row in section["pre_ir_baseline_ms"].items()
+            for case, row in section["reference_check_ms"].items()
         },
         engine_ms={
             case: row["best"]
-            for case, row in section["paired_post_ir_ms"].items()
+            for case, row in section["packed_check_ms"].items()
         },
     ).ratios
 
 
 def measure_hazard_sim_ratio(rounds: int = 5) -> tuple:
-    """Best-of-N corpus sweep times for the packed and dict BFS paths."""
+    """Best-of-N Table-1 sweep times of the packed and reference checks.
+
+    Each side is the whole hazard check: ``verify_speed_independence``
+    against the dict BFS plus ``conflict_states`` on its graph.
+    """
     from repro.bench.suite import BENCHMARKS, run_pipeline
-    from repro.netlist.circuit_sg import (
-        build_circuit_state_graph,
-        build_circuit_state_graph_reference,
-    )
+    from repro.netlist.circuit_sg import build_circuit_state_graph_reference
+    from repro.netlist.hazards import verify_speed_independence
+    from repro.sg.properties import conflict_states
 
     pairs = []
     for name in BENCHMARKS:
@@ -142,11 +145,12 @@ def measure_hazard_sim_ratio(rounds: int = 5) -> tuple:
     for _ in range(rounds):
         start = time.perf_counter()
         for netlist, spec in pairs:
-            build_circuit_state_graph(netlist, spec)
+            verify_speed_independence(netlist, spec)
         packed_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         for netlist, spec in pairs:
-            build_circuit_state_graph_reference(netlist, spec)
+            composition = build_circuit_state_graph_reference(netlist, spec)
+            conflict_states(composition.sg, composition.sg.non_inputs)
         reference_times.append(time.perf_counter() - start)
     return min(packed_times) * 1000, min(reference_times) * 1000
 

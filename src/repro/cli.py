@@ -344,16 +344,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if run_si:
         print(result.hazard_report.describe())
         exit_code = EXIT_OK if result.hazard_free else EXIT_HAZARD
-        report = result.hazard_report
-        if report.composition.truncated and not result.hazard_free:
-            # truncated with no hazard witness so far: nothing is proven
-            if not report.conflicts and not report.composition.conformance_failures:
-                print(
-                    "repro-si: inconclusive: circuit state space truncated "
-                    "before full exploration",
-                    file=sys.stderr,
-                )
-                exit_code = EXIT_INCONCLUSIVE
+        if result.hazard_report.inconclusive:
+            print(
+                "repro-si: inconclusive: circuit state space truncated "
+                "before full exploration",
+                file=sys.stderr,
+            )
+            exit_code = EXIT_INCONCLUSIVE
     if args.oracle in ("demorgan", "both"):
         from repro.verify.hazard_free import cross_check_verdicts, demorgan_check
 
@@ -499,11 +496,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(report.describe())
     if report.hazard_free:
         return EXIT_OK
-    if (
-        report.composition.truncated
-        and not report.conflicts
-        and not report.composition.conformance_failures
-    ):
+    if report.inconclusive:
         print(
             "repro-si: inconclusive: circuit state space truncated "
             "before full exploration",

@@ -551,10 +551,10 @@ def _run_design(task: Dict) -> Dict:
             outcome["status"] = _STATUS_UNVERIFIED
         else:
             outcome["hazard_free"] = bool(report.hazard_free)
-            outcome["circuit_states"] = _circuit_states(report)
+            outcome["circuit_states"] = report.circuit_states
             if report.hazard_free:
                 outcome["status"] = _STATUS_OK
-            elif _truncated_without_witness(report):
+            elif report.inconclusive:
                 outcome["status"] = _STATUS_INCONCLUSIVE
                 outcome["detail"] = (
                     "circuit state space truncated before full exploration"
@@ -573,21 +573,6 @@ def _run_design(task: Dict) -> Dict:
 def _conflict_count(report) -> int:
     conflicts = report.conflicts
     return conflicts if isinstance(conflicts, int) else len(conflicts)
-
-
-def _circuit_states(report) -> int:
-    if hasattr(report, "circuit_states"):  # cached (detached) verdict
-        return report.circuit_states
-    return len(report.circuit_sg.state_list)
-
-
-def _truncated_without_witness(report) -> bool:
-    composition = report.composition
-    return (
-        composition.truncated
-        and not _conflict_count(report)
-        and not composition.conformance_failures
-    )
 
 
 # ----------------------------------------------------------------------

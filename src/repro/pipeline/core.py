@@ -427,7 +427,7 @@ class Pipeline:
                         netlist, covers.sg, max_states=verify_cap
                     )
                 ctx.budget.charge_states(
-                    len(report.circuit_sg.state_list), "circuit composition"
+                    report.circuit_states, "circuit composition"
                 )
                 ctx.budget.check_time("speed-independence check")
             return SynthesizedNetlist(

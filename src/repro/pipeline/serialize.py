@@ -45,10 +45,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 # ----------------------------------------------------------------------
 @dataclass
 class _DetachedComposition:
-    """Composition stand-in: just the facts the CLI verdict logic reads."""
+    """Composition stand-in: the truncation flag the pipeline reads."""
 
     truncated: bool = False
-    conformance_failures: Tuple = ()
 
 
 @dataclass
@@ -74,6 +73,15 @@ class DetachedHazardReport:
         """Duck-typed composition view (truncation flag only)."""
         return _DetachedComposition(truncated=self.truncated)
 
+    @property
+    def inconclusive(self) -> bool:
+        """Truncated before any hazard witness: nothing is proven.
+
+        Conformance failures are not serialised, so a truncated cached
+        verdict without conflicts counts as inconclusive.
+        """
+        return self.truncated and not self.conflicts
+
     def describe(self) -> str:
         verdict = (
             "HAZARD-FREE"
@@ -90,16 +98,12 @@ class DetachedHazardReport:
 def _hazard_to_json(report) -> Optional[Dict]:
     if report is None:
         return None
-    if isinstance(report, DetachedHazardReport):
-        conflicts, states = report.conflicts, report.circuit_states
-    else:
-        conflicts = len(report.conflicts)
-        states = len(report.circuit_sg.state_list)
+    conflicts = report.conflicts
     return {
         "hazard_free": report.hazard_free,
-        "conflicts": conflicts,
+        "conflicts": conflicts if isinstance(conflicts, int) else len(conflicts),
         "truncated": report.composition.truncated,
-        "circuit_states": states,
+        "circuit_states": report.circuit_states,
     }
 
 

@@ -10,7 +10,7 @@ gate level under the pure unbounded-delay model (Sec. III, citing [1]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.sg.events import SignalEvent
 from repro.sg.graph import State, StateGraph
@@ -49,12 +49,21 @@ def conflict_states(
     """All conflicts with respect to the given signals (Definition 1).
 
     ``signals`` defaults to every signal; pass ``sg.non_inputs`` to get
-    only *internally* conflict states.
+    only *internally* conflict states.  The list is in state-list, arc
+    and ``sg.signals`` order, so it does not depend on the hash seed.
     """
-    watched = set(sg.signals) if signals is None else set(signals)
+    watched = sg.signals
+    if signals is not None:
+        chosen = set(signals)
+        watched = tuple(signal for signal in watched if signal in chosen)
     conflicts: List[Conflict] = []
-    for state in sg.states:
-        excited = sg.excited_signals(state) & watched
+    # few distinct excitation sets recur across states: order each once
+    ordered: Dict[FrozenSet[str], List[str]] = {}
+    for state in sg.state_list:
+        enabled = sg.excited_signals(state)
+        excited = ordered.get(enabled)
+        if excited is None:
+            excited = ordered[enabled] = [s for s in watched if s in enabled]
         if not excited:
             continue
         for event, target in sg.arcs_from(state):

@@ -7,8 +7,6 @@ reference composition -- states, arcs, diagnostics and parent pointers
 -- exactly, because serialized artifacts depend on that order.
 """
 
-import itertools
-
 import pytest
 
 from repro.boolean.compiled import SignalSpace
@@ -176,6 +174,92 @@ class TestCompositionParity:
         )
         assert packed.truncated and reference.truncated
         assert_same_composition(packed, reference)
+
+
+def _conflict_cases(fig3, fig4):
+    """Hazardous and faulty netlists: fig4 baseline C, fig3 RS-NOR and
+    every stuck-at mutant of fig3's C-implementation."""
+    from repro.core.baseline import baseline_synthesize
+    from repro.verify.faults import stuck_at
+
+    yield netlist_from_implementation(baseline_synthesize(fig4), "C"), fig4
+    yield netlist_from_implementation(synthesize(fig3), "RS-NOR"), fig3
+    clean = netlist_from_implementation(synthesize(fig3), "C")
+    for gate in clean.gates:
+        for value in (0, 1):
+            yield stuck_at(clean, gate, value), fig3
+
+
+class TestPackedHazardCheck:
+    """The hazard check reads the packed exploration; the circuit graph
+    and the parent map are views built on first access and equal the
+    reference composition's."""
+
+    def test_verify_builds_no_state_graph(self, fig4, monkeypatch):
+        from repro.core.baseline import baseline_synthesize
+        from repro.netlist import circuit_sg
+
+        built = []
+
+        class CountingStateGraph(circuit_sg.StateGraph):
+            def __init__(self, *args, **kwargs):
+                built.append(args[-1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(circuit_sg, "StateGraph", CountingStateGraph)
+        netlist = netlist_from_implementation(baseline_synthesize(fig4), "C")
+        report = verify_speed_independence(netlist, fig4)
+        assert report.conflicts and "witness trace" in report.describe()
+        assert built == []
+        assert report.circuit_states == len(report.circuit_sg)
+        assert report.circuit_sg is report.circuit_sg
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("max_states", [1, 5, 50, 500_000])
+    def test_table1_views_match_reference(self, pipeline, max_states):
+        from repro.bench.suite import BENCHMARKS
+
+        for name in BENCHMARKS:
+            result = pipeline(name)
+            netlist = netlist_from_implementation(result.implementation, "C")
+            spec = result.insertion.sg
+            packed = build_circuit_state_graph(netlist, spec, max_states)
+            reference = build_circuit_state_graph_reference(
+                netlist, spec, max_states
+            )
+            assert packed.states == len(reference.sg), name
+            assert packed.sg.state_list == reference.sg.state_list, name
+            assert packed.sg.arcs() == reference.sg.arcs(), name
+            assert list(packed.parents.items()) == list(
+                reference.parents.items()
+            ), name
+            for state in reference.sg.state_list:
+                assert packed.trace_to(state) == reference.trace_to(state)
+            assert packed.truncated == reference.truncated, name
+            assert packed.conformance_failures == reference.conformance_failures
+            assert packed.rs_violations == reference.rs_violations
+
+    def test_conflicts_equal_the_oracle_list(self, fig3, fig4):
+        from repro.netlist.circuit_sg import CompositionError
+        from repro.sg.properties import conflict_states
+
+        witnessed = 0
+        for netlist, spec in _conflict_cases(fig3, fig4):
+            try:
+                reference = build_circuit_state_graph_reference(netlist, spec)
+            except CompositionError:
+                continue  # the fault contradicts the initial state
+            report = verify_speed_independence(netlist, spec)
+            oracle = conflict_states(reference.sg, reference.sg.non_inputs)
+            assert report.conflicts == oracle, netlist.name
+            assert report.circuit_states == len(reference.sg)
+            assert (
+                report.composition.conformance_failures
+                == reference.conformance_failures
+            )
+            assert report.rs_overlaps == reference.rs_violations
+            witnessed += len(oracle)
+        assert witnessed  # the cases do exercise the conflict path
 
 
 class TestAreaEdgeCases:

@@ -133,3 +133,40 @@ class TestWitnessTraces:
         netlist = netlist_from_implementation(synthesize(fig3), "C")
         report = verify_speed_independence(netlist, fig3)
         assert report.witness_trace() == []
+
+
+class TestDeterministicReport:
+    def test_check_output_is_hash_seed_independent(self, tmp_path):
+        """Conflict order, the first-8 list and the witness trace of
+        ``repro-si check`` do not depend on ``PYTHONHASHSEED``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.netlist.io import save_netlist
+        from repro.stg.parser import load_g
+        from repro.stg.reachability import stg_to_state_graph
+
+        root = Path(__file__).resolve().parent.parent
+        spec_path = root / "src" / "repro" / "bench" / "data" / "mp-forward-pkt.g"
+        spec = stg_to_state_graph(load_g(str(spec_path)))
+        netlist = netlist_from_implementation(synthesize(spec), "RS-NOR")
+        assert len(verify_speed_independence(netlist, spec).conflicts) > 8
+        netlist_path = tmp_path / "rs-nor.json"
+        save_netlist(netlist, str(netlist_path))
+
+        outputs = []
+        for seed in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "check",
+                 str(spec_path), str(netlist_path)],
+                capture_output=True,
+                env=dict(
+                    os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed
+                ),
+            )
+            assert run.returncode == 1, run.stderr
+            outputs.append(run.stdout)
+        assert b"gate conflict" in outputs[0]
+        assert outputs[0] == outputs[1]
