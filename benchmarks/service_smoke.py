@@ -13,7 +13,9 @@ produces for the same inputs:
   actual exit code for clean, hazardous-truncated and budget cases;
 * ``table1``: the service rows against ``repro-si table1 --json`` rows,
   volatile keys (``elapsed_seconds``, ``profile``, ``reuse``) stripped
-  from both;
+  from both, and the job's exit code against the CLI process's;
+* ``diff``: a ``--count 3`` campaign's exit code against the CLI
+  process's;
 * ``corpus``: the service's corpus-sweep manifest against the one
   ``repro-si batch --corpus`` writes for the same spec + seed,
   canonical JSON to canonical JSON;
@@ -205,7 +207,12 @@ def smoke_table1(server: Server, scratch: str) -> None:
     ]
 
     json_path = os.path.join(scratch, "table1.json")
-    cli(["table1", *TABLE1_DESIGNS, "--json", json_path])
+    proc = cli(["table1", *TABLE1_DESIGNS, "--json", json_path])
+    service_code = result["result"]["exit_code"]
+    check(
+        service_code == proc.returncode,
+        f"table1: service exit {service_code}, CLI exit {proc.returncode}",
+    )
     with open(json_path, encoding="utf-8") as handle:
         cli_rows = [
             strip_volatile(row) for row in json.load(handle)["table1"]
@@ -220,8 +227,21 @@ def smoke_table1(server: Server, scratch: str) -> None:
     )
     print(
         f"  table1 {','.join(TABLE1_DESIGNS)}: "
-        f"{len(by_name)} rows identical after stripping timings"
+        f"{len(by_name)} rows identical after stripping timings, "
+        f"exit code {service_code} matches CLI"
     )
+
+
+def smoke_diff(server: Server) -> None:
+    result = server.run_job({"kind": "diff", "options": {"count": 3}})
+    service_code = result["result"]["exit_code"]
+    proc = cli(["diff", "--count", "3"], expect_codes=(0, 1, 3))
+    check(
+        service_code == proc.returncode,
+        f"diff --count 3: service exit {service_code}, "
+        f"CLI exit {proc.returncode}",
+    )
+    print(f"  diff --count 3: exit code {service_code} matches CLI")
 
 
 #: the corpus sweep both faces run (fast families, pinned seed)
@@ -314,6 +334,7 @@ def main() -> int:
             smoke_synth(server, scratch)
             smoke_verify(server)
             smoke_table1(server, scratch)
+            smoke_diff(server)
             smoke_corpus(server, scratch)
 
             status, report = server.request("POST", "/v1/shutdown")

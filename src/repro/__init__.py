@@ -36,8 +36,8 @@ Quick start::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from repro._lazy import lazy_exports
 
@@ -105,6 +105,94 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 
+# ----------------------------------------------------------------------
+# The verdict policy: every surface (CLI, batch workers, service) names
+# a design's outcome and its exit code through these definitions.
+# ----------------------------------------------------------------------
+#: exit codes: 0 ok; 1 hazard found or synthesis failed; 2 usage or load
+#: error; 3 inconclusive (a budget tripped, the state space truncated)
+EXIT_OK = 0
+EXIT_HAZARD = 1
+EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
+
+#: design statuses, as batch manifest rows and service verdicts spell them
+STATUS_OK = "hazard-free"
+STATUS_UNVERIFIED = "synthesised"
+STATUS_HAZARD = "hazardous"
+STATUS_INCONCLUSIVE = "inconclusive"
+STATUS_FAILED = "failed"
+STATUS_ERROR = "error"
+
+STATUS_EXIT = {
+    STATUS_OK: EXIT_OK,
+    STATUS_UNVERIFIED: EXIT_OK,
+    STATUS_HAZARD: EXIT_HAZARD,
+    STATUS_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    STATUS_FAILED: EXIT_HAZARD,
+    STATUS_ERROR: EXIT_HAZARD,
+}
+
+TRUNCATED = "circuit state space truncated before full exploration"
+
+
+class Verdict(NamedTuple):
+    """A design status plus its deterministic reason text."""
+
+    status: str
+    detail: str = ""
+
+    @property
+    def exit_code(self) -> int:
+        return STATUS_EXIT[self.status]
+
+
+def verdict_of(report) -> Verdict:
+    """The verdict of a hazard report (``None``: verification was off).
+
+    Reads ``hazard_free``, ``inconclusive`` and ``conflict_count``, which
+    the live and the cached (detached) report types both expose.
+    """
+    if report is None:
+        return Verdict(STATUS_UNVERIFIED)
+    if report.hazard_free:
+        return Verdict(STATUS_OK)
+    if report.inconclusive:
+        return Verdict(STATUS_INCONCLUSIVE, TRUNCATED)
+    return Verdict(STATUS_HAZARD, f"{report.conflict_count} conflict(s)")
+
+
+def verdict_errors() -> Tuple[type, ...]:
+    """The exceptions that name a verdict (see :func:`verdict_of_error`).
+
+    A function, so that ``except verdict_errors()`` imports the types
+    only once an exception is raised.
+    """
+    from repro.core.insertion import InsertionError
+    from repro.core.synthesis import CSCViolation, SynthesisError
+    from repro.stg.reachability import ReachabilityError
+    from repro.verify.budget import BudgetExceeded
+
+    return (BudgetExceeded, ReachabilityError, CSCViolation, InsertionError, SynthesisError)
+
+
+def verdict_of_error(exc: Exception) -> Verdict:
+    """The verdict of an exception in :func:`verdict_errors`.
+
+    A tripped budget or a blown reachability cap is inconclusive; a
+    synthesis that cannot complete is a definite failure.
+    """
+    from repro.stg.reachability import ReachabilityError
+    from repro.verify.budget import BudgetExceeded
+
+    if isinstance(exc, (BudgetExceeded, ReachabilityError)):
+        return Verdict(STATUS_INCONCLUSIVE, getattr(exc, "reason", None) or str(exc))
+    return Verdict(STATUS_FAILED, f"synthesis failed: {exc}")
+
+
+# ----------------------------------------------------------------------
+# The design driver
+# ----------------------------------------------------------------------
 @dataclass
 class SynthesisResult:
     """End-to-end synthesis outcome (see :func:`synthesize_from_stg`)."""
@@ -114,6 +202,11 @@ class SynthesisResult:
     implementation: Implementation
     netlist: Netlist
     hazard_report: Optional[HazardReport]
+    #: fingerprint of the netlist-stage artifact
+    fingerprint: str = ""
+    #: per-stage reuse ledger of the run that synthesised the netlist:
+    #: stage -> {"mode": "hit" | "miss" | "partial", ...counts}
+    reuse: Dict[str, Dict] = field(default_factory=dict)
 
     @property
     def added_signals(self):
@@ -124,12 +217,20 @@ class SynthesisResult:
         return bool(self.hazard_report and self.hazard_report.hazard_free)
 
 
-def _run_synthesis(spec, context) -> SynthesisResult:
-    """Drive the staged pipeline and package the classic result shape."""
-    from repro.pipeline import AnalysisContext, Pipeline
+def run_synthesis(spec, context=None, delta=None) -> SynthesisResult:
+    """Run one :class:`~repro.pipeline.PipelineSpec` to its netlist.
 
-    pipeline = Pipeline(context if context is not None else AnalysisContext())
-    synthesized = pipeline.run(spec, until="netlist")
+    The one driver every surface packages a design through.  ``delta``
+    re-synthesises ``spec`` with that edit applied, reusing the base
+    spec's artifacts in ``context`` (see :meth:`Pipeline.run`).
+    """
+    from repro.pipeline import Pipeline
+
+    pipeline = Pipeline(context)
+    synthesized = pipeline.run(spec, until="netlist", delta=delta)
+    reuse = {k: dict(v) for k, v in pipeline.context.last_reuse.items()}
+    if delta is not None:
+        spec = spec.apply_delta(delta)
     plan = pipeline.run(spec, until="covers")  # memo hit: same artifacts
     reached = pipeline.run(spec, until="reach")
     return SynthesisResult(
@@ -138,6 +239,8 @@ def _run_synthesis(spec, context) -> SynthesisResult:
         implementation=plan.implementation,
         netlist=synthesized.netlist,
         hazard_report=synthesized.hazard_report,
+        fingerprint=synthesized.fingerprint,
+        reuse=reuse,
     )
 
 
@@ -173,7 +276,7 @@ def synthesize_from_state_graph(
         max_models=max_models,
         verify_max_states=verify_max_states,
     )
-    return _run_synthesis(spec, context)
+    return run_synthesis(spec, context)
 
 
 def synthesize_from_stg(
@@ -194,4 +297,4 @@ def synthesize_from_stg(
         verify=verify,
         max_models=max_models,
     )
-    return _run_synthesis(spec, context)
+    return run_synthesis(spec, context)

@@ -7,10 +7,9 @@ each defining submodule to the names it re-exports::
 
 The submodule is imported on the first access of one of its names, so
 importing one module of a package no longer compiles every sibling.
-A name that is also the name of a submodule (``repro.netlist.simulate``)
-must be bound eagerly instead: importing that submodule rebinds the
-package attribute to the module, after which ``__getattr__`` is never
-consulted again.
+No export may share its name with a submodule: importing that submodule
+rebinds the package attribute to the module, after which ``__getattr__``
+is never consulted again.
 """
 
 from __future__ import annotations

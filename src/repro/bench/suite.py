@@ -16,13 +16,13 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import perf
 from repro.core.insertion import InsertionResult
 from repro.core.synthesis import Implementation
 from repro.netlist.hazards import HazardReport
-from repro.netlist.netlist import netlist_from_implementation
+from repro.netlist.netlist import Netlist
 from repro.sg.graph import StateGraph
 from repro.stg.parser import load_g
 from repro.stg.stg import STG
@@ -68,6 +68,7 @@ class PipelineResult:
     spec_sg: StateGraph
     insertion: InsertionResult
     implementation: Implementation
+    netlist: Netlist
     hazard_report: Optional[HazardReport]
     elapsed_seconds: float
     #: per-phase wall time / op counters when run with ``profile=True``
@@ -118,9 +119,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full MC-reduction pipeline for one benchmark.
 
-    Drives :class:`repro.pipeline.Pipeline` end to end: STG -> state
-    graph -> MC-driven state-signal insertion -> standard implementation
-    -> (optionally) circuit-level speed-independence verification.
+    Drives :func:`repro.run_synthesis` end to end: STG -> state graph
+    -> MC-driven state-signal insertion -> standard implementation ->
+    netlist -> (optionally) circuit-level speed-independence
+    verification.
 
     With ``profile=True`` a fresh :mod:`repro.perf` recorder is scoped
     to this run (via :func:`repro.perf.recording`) and its per-phase
@@ -132,7 +134,8 @@ def run_pipeline(
     context with the persistent artifact cache; it is ignored when an
     explicit ``context`` is supplied (configure the context instead).
     """
-    from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
+    from repro import run_synthesis
+    from repro.pipeline import AnalysisContext, PipelineSpec
 
     if context is None:
         context = AnalysisContext(
@@ -144,28 +147,20 @@ def run_pipeline(
     spec = PipelineSpec.from_stg(
         stg, name=name, style=style, verify=verify, max_models=max_models
     )
-    pipeline = Pipeline(context)
-    hazard_report = None
-    if verify:
-        hazard_report = pipeline.run(spec, until="netlist").hazard_report
-        reuse = {k: dict(v) for k, v in context.last_reuse.items()}
-        plan = pipeline.run(spec, until="covers")
-    else:
-        plan = pipeline.run(spec, until="covers")
-        reuse = {k: dict(v) for k, v in context.last_reuse.items()}
-    reached = pipeline.run(spec, until="reach")
+    result = run_synthesis(spec, context)
     return PipelineResult(
         name=name,
         stg=stg,
-        spec_sg=reached.sg,
-        insertion=plan.insertion,
-        implementation=plan.implementation,
-        hazard_report=hazard_report,
+        spec_sg=result.spec,
+        insertion=result.insertion,
+        implementation=result.implementation,
+        netlist=result.netlist,
+        hazard_report=result.hazard_report,
         elapsed_seconds=time.perf_counter() - started,
         profile=(
             context.recorder.as_dict() if context.recorder is not None else None
         ),
-        reuse=reuse,
+        reuse=result.reuse,
     )
 
 
@@ -174,17 +169,38 @@ def run_table1(
     names: Optional[List[str]] = None,
     profile: bool = False,
     store=None,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> List[PipelineResult]:
     """Run the whole Table-1 suite; returns one result per design.
 
-    Designs run one after another in the requested order.  ``store`` (a
+    Designs run one after another in the requested order; ``progress``
+    is called with each design's name before it runs.  ``store`` (a
     directory path) warms every design from the persistent artifact
     cache.
     """
-    return [
-        run_pipeline(name, verify=verify, profile=profile, store=store)
-        for name in names or BENCHMARKS
-    ]
+    results = []
+    for name in names or BENCHMARKS:
+        if progress is not None:
+            progress(name)
+        results.append(run_pipeline(name, verify=verify, profile=profile, store=store))
+    return results
+
+
+def table1_problems(results: List[PipelineResult], verify: bool) -> List[str]:
+    """Rows that break the paper's Table 1: a different number of added
+    signals, or (when ``verify``) a circuit that is not speed-independent."""
+    problems = []
+    for result in results:
+        paper_added = paper_row(result.name)[2]
+        if result.added_signals != paper_added:
+            problems.append(
+                f"{result.name} adds {result.added_signals} signal(s), "
+                f"the paper {paper_added}"
+            )
+        report = result.hazard_report
+        if verify and (report is None or not report.hazard_free):
+            problems.append(f"{result.name} is not speed-independent")
+    return problems
 
 
 #: current schema tag of BENCH_pipeline.json; bump on breaking changes
@@ -267,15 +283,11 @@ def format_table1(results: List[PipelineResult]) -> str:
             if result.hazard_report and result.hazard_report.hazard_free
             else ("-" if result.hazard_report is None else "NO")
         )
-        if result.hazard_report is not None:
-            netlist = result.hazard_report.netlist
-        else:
-            netlist = netlist_from_implementation(result.implementation, "C")
         lines.append(
             f"{result.name:<16}{len(result.stg.inputs):>4}"
             f"{len(result.stg.non_inputs):>5}{result.added_signals:>7}"
             f"{paper_added:>7}{len(result.insertion.sg):>8}"
-            f"{hazard_free:>6}{area_estimate(netlist):>6}"
+            f"{hazard_free:>6}{area_estimate(result.netlist):>6}"
             f"{result.elapsed_seconds:>9.2f}"
         )
     return "\n".join(lines)

@@ -17,15 +17,9 @@ sharing), ``--verilog FILE`` and ``--dot FILE`` exports.  ``verify``
 accepts ``--budget-states`` / ``--budget-seconds`` graceful-degradation
 bounds and ``--fault-model`` dynamic fault injection.
 
-Exit codes distinguish *verdicts* from *non-answers*:
-
-========  =====================================================
-``0``     success / hazard-free
-``1``     definite negative: hazard found or synthesis failed
-``2``     usage or load error (missing file, malformed ``.g``)
-``3``     inconclusive: a budget tripped or the state space was
-          truncated -- neither proven clean nor shown hazardous
-========  =====================================================
+Exit codes distinguish *verdicts* from *non-answers*: 0 success, 1
+hazard found or synthesis failed, 2 usage or load error, 3 inconclusive
+(the verdict policy in :mod:`repro`, shared with batch and the service).
 """
 
 from __future__ import annotations
@@ -34,15 +28,23 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro import perf, synthesize_from_state_graph
+from repro import (
+    EXIT_HAZARD,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    STATUS_FAILED,
+    STATUS_INCONCLUSIVE,
+    Verdict,
+    perf,
+    synthesize_from_state_graph,
+    verdict_errors,
+    verdict_of,
+    verdict_of_error,
+)
 from repro.sg.graph import InconsistentStateGraph
 from repro.stg.parser import load_g
 from repro.stg.reachability import ReachabilityError, stg_to_state_graph
-
-EXIT_OK = 0
-EXIT_HAZARD = 1
-EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
 
 class CliError(Exception):
@@ -66,47 +68,31 @@ def _load(path: str, max_states: int = 1_000_000):
         raise CliError(f"invalid specification {path!r}: {exc}") from exc
 
 
-def parse_positive(text: str) -> int:
-    """argparse type for every count flag: a positive int.
+def _int_at_least(minimum: int, what: str):
+    """argparse type: an int >= ``minimum``, else a usage error (exit 2)."""
 
-    The one shared validator for worker counts (``batch --jobs``,
-    ``serve --workers``), model and state budgets, run and event counts
-    and the server's queue and retention limits: a 0 or negative value
-    is a loud usage error (exit 2) instead of a run that misbehaves.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer value: {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer (got {value})"
-        )
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {what} (got {value})")
+        return value
+
+    return parse
 
 
-def parse_seed(text: str) -> int:
-    """argparse type for ``--seed``: non-negative int (usage error, exit 2).
-
-    The one shared validator for every verb that seeds pseudo-random
-    generation (``verify``, ``simulate``, ``diff``, ``batch``): garbage
-    like ``--seed banana`` or ``--seed -3`` is a loud exit-2 usage
-    error instead of a mid-run traceback, and seed 0 stays legal (the
-    CI gates pin it).
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer (got {value})"
-        )
-    return value
+#: the one validator for every count flag (worker counts, model and state
+#: budgets, run and event counts, the server's queue and retention
+#: limits): a 0 or negative value is a loud usage error, not a run that
+#: misbehaves
+parse_positive = _int_at_least(1, "positive integer")
+#: the one validator for every ``--seed``: garbage like ``banana`` or
+#: ``-3`` is a usage error instead of a mid-run traceback; 0 stays legal
+parse_seed = _int_at_least(0, "non-negative integer")
 
 
 def validated_store(path: Optional[str]) -> Optional[str]:
@@ -138,6 +124,15 @@ def validated_store(path: Optional[str]) -> Optional[str]:
     except OSError as exc:
         raise CliError(f"--store directory {path!r} is not writable: {exc}") from exc
     return path
+
+
+def _reported(verdict: Verdict) -> int:
+    """Print the stderr line an inconclusive or failed verdict gets; its exit code."""
+    if verdict.status == STATUS_INCONCLUSIVE:
+        print(f"repro-si: inconclusive: {verdict.detail}", file=sys.stderr)
+    elif verdict.status == STATUS_FAILED:
+        print(f"repro-si: {verdict.detail}", file=sys.stderr)
+    return verdict.exit_code
 
 
 def _start_profile(args: argparse.Namespace) -> Optional[perf.PerfRecorder]:
@@ -211,7 +206,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             handle.write(sg_to_dot(sg))
         print(f"state graph written to {args.dot}")
     _finish_profile(recorder, context)
-    return 0
+    return EXIT_OK
 
 
 def _edit_synthesis(args, context, stg):
@@ -224,8 +219,8 @@ def _edit_synthesis(args, context, stg):
     is byte-identical to a from-scratch run; a per-stage reuse summary
     goes to stderr.
     """
-    from repro import _run_synthesis
-    from repro.pipeline import Pipeline, PipelineSpec
+    from repro import run_synthesis
+    from repro.pipeline import PipelineSpec
     from repro.pipeline.delta import DeltaError, SpecDelta
 
     try:
@@ -239,22 +234,19 @@ def _edit_synthesis(args, context, stg):
         verify=not args.no_verify,
         max_models=args.max_models,
     )
-    pipeline = Pipeline(context)
-    pipeline.run(spec)  # base synthesis: warms snapshot + artifacts
+    run_synthesis(spec, context)  # base synthesis: warms snapshot + artifacts
     try:
-        pipeline.run(spec, delta=delta)
+        result = run_synthesis(spec, context, delta=delta)
     except DeltaError as exc:
         raise CliError(f"--edit does not apply: {exc}") from exc
-    reuse = dict(context.last_reuse)
     print(f"edit: {delta.describe()}", file=sys.stderr)
-    for stage, entry in reuse.items():
+    for stage, entry in result.reuse.items():
         counts = ", ".join(
             f"{k}={v}" for k, v in entry.items() if k != "mode"
         )
         suffix = f" ({counts})" if counts else ""
         print(f"  {stage}: {entry['mode']}{suffix}", file=sys.stderr)
-    # package the classic result shape for the edited spec (memo hits)
-    return _run_synthesis(spec.apply_delta(delta), context)
+    return result
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -318,8 +310,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(f"netlist graph written to {args.dot}")
     _finish_profile(recorder, context)
     if result.hazard_report is not None and not result.hazard_free:
-        return 1
-    return 0
+        return EXIT_HAZARD
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -343,14 +335,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     exit_code = EXIT_OK
     if run_si:
         print(result.hazard_report.describe())
-        exit_code = EXIT_OK if result.hazard_free else EXIT_HAZARD
-        if result.hazard_report.inconclusive:
-            print(
-                "repro-si: inconclusive: circuit state space truncated "
-                "before full exploration",
-                file=sys.stderr,
-            )
-            exit_code = EXIT_INCONCLUSIVE
+        exit_code = _reported(verdict_of(result.hazard_report))
     if args.oracle in ("demorgan", "both"):
         from repro.verify.hazard_free import cross_check_verdicts, demorgan_check
 
@@ -410,7 +395,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     for report in bad[:3]:
         print(report.describe())
-    return 0 if not bad else 1
+    return EXIT_HAZARD if bad else EXIT_OK
 
 
 def _diff_table1() -> int:
@@ -420,14 +405,14 @@ def _diff_table1() -> int:
     artifacts (:mod:`repro.pipeline.serialize`) must be identical.  Any
     artifact diff is a definite failure (exit 1).
     """
-    from repro.bench.suite import BENCHMARKS, load_benchmark
+    from repro.bench.suite import BENCHMARKS
     from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec
     from repro.pipeline.serialize import mc_report_to_json
     from repro.verify.differential import diff_reports
 
     divergent = 0
     for name in BENCHMARKS:
-        spec = PipelineSpec.from_stg(load_benchmark(name), name=name)
+        spec = PipelineSpec.from_benchmark(name)
         fast, reference = (
             Pipeline(AnalysisContext(backend=engine)).run(spec, until="mc").report
             for engine in ("bitengine", "reference")
@@ -466,18 +451,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
         max_seconds_each=args.max_seconds_each,
         repair_seconds=args.repair_seconds,
         progress=progress,
-        store=args.store,
     )
     print(report.describe())
-    if report.divergent:
-        return EXIT_HAZARD
-    if report.checked == 0:
-        print(
-            "repro-si: inconclusive: every design blew its budget",
-            file=sys.stderr,
-        )
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    if report.exit_code == EXIT_INCONCLUSIVE:
+        print(f"repro-si: inconclusive: {report.detail}", file=sys.stderr)
+    return report.exit_code
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -494,40 +472,28 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise CliError(f"malformed netlist {args.netlist!r}: {exc}") from exc
     report = verify_speed_independence(netlist, sg, max_states=args.max_states)
     print(report.describe())
-    if report.hazard_free:
-        return EXIT_OK
-    if report.inconclusive:
-        print(
-            "repro-si: inconclusive: circuit state space truncated "
-            "before full exploration",
-            file=sys.stderr,
-        )
-        return EXIT_INCONCLUSIVE
-    return EXIT_HAZARD
+    return _reported(verdict_of(report))
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.bench.suite import (
-        BENCHMARKS,
         format_table1,
-        run_pipeline,
+        run_table1,
+        table1_problems,
         unknown_designs_error,
         write_pipeline_json,
     )
 
-    names = args.designs or list(BENCHMARKS)
-    error = unknown_designs_error(names)
+    error = unknown_designs_error(args.designs)
     if error is not None:
         raise CliError(error)
-    results = []
-    for name in names:
-        print(f"running {name} ...", file=sys.stderr)
-        results.append(
-            run_pipeline(
-                name, verify=not args.no_verify, profile=args.profile,
-                store=args.store,
-            )
-        )
+    results = run_table1(
+        verify=not args.no_verify,
+        names=args.designs,
+        profile=args.profile,
+        store=args.store,
+        progress=lambda name: print(f"running {name} ...", file=sys.stderr),
+    )
     print(format_table1(results))
     if args.json:
         try:
@@ -535,29 +501,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot write pipeline metrics: {exc}") from exc
         print(f"pipeline metrics written to {path}", file=sys.stderr)
-    problems = _table1_problems(results, verify=not args.no_verify)
+    problems = table1_problems(results, verify=not args.no_verify)
     for problem in problems:
         print(f"repro-si: table1: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _table1_problems(results, verify: bool) -> List[str]:
-    """Rows that break the paper's Table 1: a different number of added
-    signals, or (when ``verify``) a circuit that is not speed-independent."""
-    from repro.bench.suite import paper_row
-
-    problems = []
-    for result in results:
-        paper_added = paper_row(result.name)[2]
-        if result.added_signals != paper_added:
-            problems.append(
-                f"{result.name} adds {result.added_signals} signal(s), "
-                f"the paper {paper_added}"
-            )
-        report = result.hazard_report
-        if verify and (report is None or not report.hazard_free):
-            problems.append(f"{result.name} is not speed-independent")
-    return problems
+    return EXIT_HAZARD if problems else EXIT_OK
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -586,21 +533,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
     elif not args.specs:
         raise CliError("no specifications given (pass .g files or --corpus)")
 
+    options = batch_options(
+        style=args.style,
+        share_gates=args.share,
+        verify=not args.no_verify,
+        max_models=args.max_models,
+        max_states=args.max_states,
+        timeout_seconds=args.timeout_seconds,
+    )
     journal = None
     if args.manifest:
         # every completed design lands in the journal as it finishes, so
         # an interrupted sweep resumes from exactly where it died
-        journal = BatchJournal(
-            args.manifest + JOURNAL_SUFFIX,
-            batch_options(
-                style=args.style,
-                share_gates=args.share,
-                verify=not args.no_verify,
-                max_models=args.max_models,
-                max_states=args.max_states,
-                timeout_seconds=args.timeout_seconds,
-            ),
-        )
+        journal = BatchJournal(args.manifest + JOURNAL_SUFFIX, options)
 
     def stream(outcome) -> None:
         print(outcome.describe(), file=sys.stderr)
@@ -612,15 +557,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
             args.specs,
             store=args.store,
             jobs=args.jobs,
-            style=args.style,
-            share_gates=args.share,
-            verify=not args.no_verify,
-            max_models=args.max_models,
-            max_states=args.max_states,
-            timeout_seconds=args.timeout_seconds,
             resume=args.resume,
             progress=stream,
             corpus=corpus,
+            **options,
         )
     except (ResumeError, CorpusError) as exc:
         raise CliError(str(exc)) from exc
@@ -666,6 +606,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
+_STYLES = ["C", "RS", "RS-NOR", "C-INV"]
+
+
+def _add_store(parser, help="persistent artifact store directory (warm-start cache)"):
+    parser.add_argument("--store", default=None, metavar="DIR", help=help)
+
+
+def _add_profile(parser, help="print per-phase wall time and primitive-op counts"):
+    parser.add_argument("--profile", action="store_true", help=help)
+
+
+def _add_share(parser) -> None:
+    parser.add_argument(
+        "--share",
+        nargs="?",
+        const=True,
+        default=False,
+        choices=[True, "optimal"],
+        help="Sec.-VI gate sharing (pass 'optimal' for the exact optimiser)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-si",
@@ -677,27 +639,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="analyse an STG specification")
     p_info.add_argument("spec", help=".g file")
     p_info.add_argument("--dot", help="write the state graph as Graphviz")
-    p_info.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory (warm-start cache)",
-    )
-    p_info.add_argument(
-        "--profile", action="store_true",
-        help="print per-phase wall time and primitive-op counts",
-    )
+    _add_store(p_info)
+    _add_profile(p_info)
     p_info.set_defaults(func=cmd_info)
 
     p_synth = sub.add_parser("synth", help="synthesise an implementation")
     p_synth.add_argument("spec", help=".g file")
-    p_synth.add_argument("--style", choices=["C", "RS", "RS-NOR", "C-INV"], default="C")
-    p_synth.add_argument(
-        "--share",
-        nargs="?",
-        const=True,
-        default=False,
-        choices=[True, "optimal"],
-        help="Sec.-VI gate sharing (pass 'optimal' for the exact optimiser)",
-    )
+    p_synth.add_argument("--style", choices=_STYLES, default="C")
+    _add_share(p_synth)
     p_synth.add_argument("--no-verify", action="store_true")
     p_synth.add_argument(
         "--edit", action="append", metavar="EDIT", default=None,
@@ -721,19 +670,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the (repaired) specification back as a .g STG",
     )
     p_synth.add_argument("--dot", help="write the netlist as Graphviz")
-    p_synth.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory (warm-start cache)",
-    )
-    p_synth.add_argument(
-        "--profile", action="store_true",
-        help="print per-phase wall time and primitive-op counts",
-    )
+    _add_store(p_synth)
+    _add_profile(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_verify = sub.add_parser("verify", help="synthesise and model-check")
     p_verify.add_argument("spec", help=".g file")
-    p_verify.add_argument("--style", choices=["C", "RS", "RS-NOR", "C-INV"], default="C")
+    p_verify.add_argument("--style", choices=_STYLES, default="C")
     p_verify.add_argument(
         "--budget-states", type=parse_positive, default=None,
         help="total state budget across elaboration + composition "
@@ -764,14 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check on the SOP covers, 'both' runs the two and fails on any "
         "disagreement",
     )
-    p_verify.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory (warm-start cache)",
-    )
-    p_verify.add_argument(
-        "--profile", action="store_true",
-        help="print per-phase wall time and primitive-op counts",
-    )
+    _add_store(p_verify)
+    _add_profile(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_diff = sub.add_parser(
@@ -813,11 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pipeline parity: run the Table-1 designs through bitengine "
         "and reference and fail on any artifact diff",
     )
-    p_diff.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory; NOTE: a warm store "
-        "serves previous verdicts instead of re-running both engines",
-    )
     p_diff.set_defaults(func=cmd_diff)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo delay simulation")
@@ -842,17 +774,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("designs", nargs="*", help="subset of designs")
     p_table.add_argument("--no-verify", action="store_true")
-    p_table.add_argument(
-        "--profile", action="store_true",
-        help="per-design phase profile",
-    )
+    _add_profile(p_table, help="per-design phase profile")
     p_table.add_argument(
         "--json", help="write/merge BENCH_pipeline.json at this path"
     )
-    p_table.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory (warm-start cache)",
-    )
+    _add_store(p_table)
     p_table.set_defaults(func=cmd_table1)
 
     p_batch = sub.add_parser(
@@ -879,21 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=parse_positive, default=1,
         help="worker processes (default 1: run inline)",
     )
-    p_batch.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="persistent artifact store directory shared by all workers",
-    )
-    p_batch.add_argument(
-        "--style", choices=["C", "RS", "RS-NOR", "C-INV"], default="C"
-    )
-    p_batch.add_argument(
-        "--share",
-        nargs="?",
-        const=True,
-        default=False,
-        choices=[True, "optimal"],
-        help="Sec.-VI gate sharing (pass 'optimal' for the exact optimiser)",
-    )
+    _add_store(p_batch, help="persistent artifact store directory shared by all workers")
+    p_batch.add_argument("--style", choices=_STYLES, default="C")
+    _add_share(p_batch)
     p_batch.add_argument("--no-verify", action="store_true")
     p_batch.add_argument("--max-models", type=parse_positive, default=400)
     p_batch.add_argument(
@@ -932,8 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080,
         help="TCP port (0 binds an ephemeral port; see --port-file)",
     )
-    p_serve.add_argument(
-        "--store", default=None, metavar="DIR",
+    _add_store(
+        p_serve,
         help="persistent artifact store shared by every request "
         "(validated up front; a bad path is a usage error)",
     )
@@ -980,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.core.insertion import InsertionError
-    from repro.core.synthesis import CSCViolation, SynthesisError
-    from repro.verify.budget import BudgetExceeded
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -993,15 +903,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as exc:
         print(f"repro-si: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"repro-si: inconclusive: {exc.reason}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except ReachabilityError as exc:
-        print(f"repro-si: inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (CSCViolation, InsertionError, SynthesisError) as exc:
-        print(f"repro-si: synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_HAZARD
+    except verdict_errors() as exc:
+        return _reported(verdict_of_error(exc))
 
 
 if __name__ == "__main__":

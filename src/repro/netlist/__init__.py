@@ -18,12 +18,6 @@
 
 from repro._lazy import lazy_exports
 
-# ``simulate`` is also the name of its submodule: importing
-# ``repro.netlist.simulate`` rebinds the package attribute to the
-# module, so the function is bound here, after that import, instead of
-# lazily.
-from repro.netlist.simulate import SimulationReport, monte_carlo, simulate
-
 __all__ = [
     "Gate",
     "GateKind",
@@ -33,9 +27,6 @@ __all__ = [
     "CompositionError",
     "HazardReport",
     "verify_speed_independence",
-    "SimulationReport",
-    "simulate",
-    "monte_carlo",
     "area_estimate",
     "area_report",
     "netlist_to_json",

@@ -55,6 +55,10 @@ class HazardReport:
         return self.composition.states
 
     @property
+    def conflict_count(self) -> int:
+        return len(self.conflicts)
+
+    @property
     def hazard_free(self) -> bool:
         """Speed-independent: no gate conflict, no conformance failure,
         and the whole space explored.

@@ -44,10 +44,11 @@ runs inline.  ``resume_skips`` lands in the stats sidecar and the perf
 counter ``batch-resume-skip``.
 
 Per-design failures never abort the batch: a malformed file, a blown
-budget or a synthesis error each become one manifest row with
-``status`` ``"error"`` / ``"inconclusive"`` / ``"failed"``, and the
+budget or a synthesis error each become one manifest row with status
+``error`` / ``inconclusive`` / ``failed``, and the
 batch exit code aggregates the worst verdict (hazard/failure beats
-inconclusive beats ok, mirroring the single-design CLI exit codes).
+inconclusive beats ok).  Statuses and exit codes are the verdict policy
+of :mod:`repro`, shared with the single-design CLI and the service.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -70,18 +72,24 @@ from typing import (
     Union,
 )
 
-from repro import perf
+from repro import (
+    EXIT_HAZARD,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    STATUS_ERROR,
+    STATUS_EXIT,
+    Verdict,
+    perf,
+    run_synthesis,
+    verdict_errors,
+    verdict_of,
+    verdict_of_error,
+)
 from repro.pipeline.serialize import fingerprint_document, fingerprint_file
 from repro.pipeline.store import EVENTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.corpus.spec import CorpusSpec
-
-# the CLI-wide exit vocabulary (mirrored from repro.cli, which imports
-# this module's report; see the exit-code table in that docstring)
-EXIT_OK = 0
-EXIT_HAZARD = 1
-EXIT_INCONCLUSIVE = 3
 
 #: manifest schema stamp (see :meth:`BatchReport.manifest`); ``/4``
 #: dropped the ``backend`` key that ``/3`` carried in its options echo
@@ -97,13 +105,6 @@ PREFETCH_PER_JOB = 4
 
 #: suffix appended to the manifest path for the resume journal
 JOURNAL_SUFFIX = ".journal"
-
-_STATUS_OK = "hazard-free"
-_STATUS_UNVERIFIED = "synthesised"
-_STATUS_HAZARD = "hazardous"
-_STATUS_INCONCLUSIVE = "inconclusive"
-_STATUS_FAILED = "failed"
-_STATUS_ERROR = "error"
 
 
 class ResumeError(ValueError):
@@ -141,6 +142,14 @@ def _stamped_options(options: Dict) -> Dict:
     return stamped
 
 
+#: the :class:`DesignOutcome` fields a manifest or journal row records
+_ROW_FIELDS = (
+    "name", "spec", "status", "detail", "states", "inputs", "outputs",
+    "added_signals", "equations", "gates", "hazard_free", "circuit_states",
+    "fingerprint", "spec_fingerprint",
+)
+
+
 @dataclass
 class DesignOutcome:
     """One design's batch result: a manifest row plus run metadata."""
@@ -170,28 +179,11 @@ class DesignOutcome:
     #: per-stage breakdown, event -> {stage: count} (stats only)
     store_traffic_by_stage: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.status in (_STATUS_OK, _STATUS_UNVERIFIED)
-
     def manifest_entry(self) -> Dict:
         """The deterministic manifest row (no timings, no cache traffic)."""
-        return {
-            "name": self.name,
-            "spec": self.spec,
-            "status": self.status,
-            "detail": self.detail,
-            "states": self.states,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "added_signals": list(self.added_signals),
-            "equations": self.equations,
-            "gates": self.gates,
-            "hazard_free": self.hazard_free,
-            "circuit_states": self.circuit_states,
-            "fingerprint": self.fingerprint,
-            "spec_fingerprint": self.spec_fingerprint,
-        }
+        row = {name: getattr(self, name) for name in _ROW_FIELDS}
+        row["added_signals"] = list(self.added_signals)
+        return row
 
     def describe(self) -> str:
         extra = f" ({self.detail})" if self.detail else ""
@@ -220,11 +212,11 @@ class BatchReport:
 
     @property
     def exit_code(self) -> int:
-        statuses = {outcome.status for outcome in self.outcomes}
-        if statuses & {_STATUS_HAZARD, _STATUS_FAILED, _STATUS_ERROR}:
-            return EXIT_HAZARD
-        if _STATUS_INCONCLUSIVE in statuses:
-            return EXIT_INCONCLUSIVE
+        """The worst design's: hazard/failure beats inconclusive beats ok."""
+        codes = {STATUS_EXIT[outcome.status] for outcome in self.outcomes}
+        for code in (EXIT_HAZARD, EXIT_INCONCLUSIVE):
+            if code in codes:
+                return code
         return EXIT_OK
 
     def manifest(self) -> Dict:
@@ -277,11 +269,15 @@ class BatchReport:
             },
         }
 
+    @property
+    def status_counts(self) -> Dict[str, int]:
+        """Design status -> how many designs ended with it."""
+        return dict(Counter(outcome.status for outcome in self.outcomes))
+
     def describe(self) -> str:
-        counts: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
-        summary = ", ".join(f"{n} {s}" for s, n in sorted(counts.items()))
+        summary = ", ".join(
+            f"{n} {s}" for s, n in sorted(self.status_counts.items())
+        )
         resumed = sum(1 for o in self.outcomes if o.resumed)
         skipped = f"; {resumed} resumed" if resumed else ""
         traffic = self.stats()["store_traffic"]
@@ -438,23 +434,14 @@ def _outcome_from_row(row: Dict, spec: str, spec_fingerprint: str) -> DesignOutc
     fingerprints are equal by the staleness test; the path may differ),
     so the merged manifest matches a cold run over the current corpus.
     """
-    return DesignOutcome(
-        name=row["name"],
+    fields = {name: row[name] for name in _ROW_FIELDS if name in row}
+    fields.update(
         spec=spec,
-        status=row["status"],
-        detail=row.get("detail", ""),
-        states=row.get("states", 0),
-        inputs=row.get("inputs", 0),
-        outputs=row.get("outputs", 0),
-        added_signals=list(row.get("added_signals", [])),
-        equations=row.get("equations", ""),
-        gates=row.get("gates", 0),
-        hazard_free=row.get("hazard_free"),
-        circuit_states=row.get("circuit_states", 0),
-        fingerprint=row.get("fingerprint", ""),
         spec_fingerprint=spec_fingerprint,
+        added_signals=list(fields.get("added_signals", [])),
         resumed=True,
     )
+    return DesignOutcome(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -464,122 +451,82 @@ def _design_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _run_design(task: Dict) -> Dict:
+def _run_design(task: Dict) -> DesignOutcome:
     """Worker body: one design through the full pipeline (picklable I/O)."""
-    from repro.core.insertion import InsertionError
-    from repro.core.synthesis import CSCViolation, SynthesisError
     from repro.pipeline.context import AnalysisContext
-    from repro.pipeline.core import Pipeline, PipelineSpec
-    from repro.stg.parser import load_g, parse_g
-    from repro.stg.reachability import ReachabilityError
-    from repro.verify.budget import Budget, BudgetExceeded
+    from repro.verify.budget import Budget
 
-    path = task["spec"]
-    spec_text = task.get("spec_text")
+    outcome = DesignOutcome(
+        name=task.get("name") or _design_name(task["spec"]),
+        spec=task["spec"],
+        status=STATUS_ERROR,
+        spec_fingerprint=task.get("spec_fingerprint", ""),
+    )
     started = time.perf_counter()
-    outcome = {
-        "name": task.get("name") or _design_name(path),
-        "spec": path,
-        "status": _STATUS_ERROR,
-        "detail": "",
-        "states": 0,
-        "inputs": 0,
-        "outputs": 0,
-        "added_signals": [],
-        "equations": "",
-        "gates": 0,
-        "hazard_free": None,
-        "circuit_states": 0,
-        "fingerprint": "",
-        "spec_fingerprint": task.get("spec_fingerprint", ""),
-        "resumed": False,
-        "seconds": 0.0,
-        "store_traffic": {},
-        "store_traffic_by_stage": {},
-    }
     budget = Budget(
         max_states=task["max_states"], max_seconds=task["timeout_seconds"]
     )
     context = AnalysisContext(budget=budget, store=task["store_root"])
     try:
-        try:
-            if spec_text is not None:
-                stg = parse_g(spec_text, name=outcome["name"])
-            else:
-                stg = load_g(path)
-        except (OSError, ValueError) as exc:
-            outcome["detail"] = f"cannot load specification: {exc}"
-            return outcome
-        if not stg.net.transitions:
-            outcome["detail"] = "malformed .g file: no transitions"
-            return outcome
-        spec = PipelineSpec.from_stg(
-            stg,
-            name=outcome["name"],
-            style=task["style"],
-            share_gates=task["share_gates"],
-            verify=task["verify"],
-            max_models=task["max_models"],
-            max_states=task["max_states"] or 200_000,
-        )
-        pipeline = Pipeline(context)
-        try:
-            netlist = pipeline.run(spec, until="netlist")
-            covers = pipeline.run(spec, until="covers")
-            reached = pipeline.run(spec, until="reach")
-        except (BudgetExceeded, ReachabilityError) as exc:
-            reason = getattr(exc, "reason", None) or str(exc)
-            outcome["status"] = _STATUS_INCONCLUSIVE
-            outcome["detail"] = reason
-            return outcome
-        except (CSCViolation, InsertionError, SynthesisError) as exc:
-            outcome["status"] = _STATUS_FAILED
-            outcome["detail"] = f"synthesis failed: {exc}"
-            return outcome
-        except ValueError as exc:
-            outcome["detail"] = f"invalid specification: {exc}"
-            return outcome
-        outcome["states"] = reached.states
-        outcome["inputs"] = len(reached.sg.inputs)
-        outcome["outputs"] = len(reached.sg.signals) - len(reached.sg.inputs)
-        outcome["added_signals"] = list(covers.added_signals)
-        outcome["equations"] = covers.implementation.equations()
-        outcome["gates"] = len(netlist.netlist.gates)
-        outcome["fingerprint"] = netlist.fingerprint
-        report = netlist.hazard_report
-        if report is None:
-            outcome["status"] = _STATUS_UNVERIFIED
-        else:
-            outcome["hazard_free"] = bool(report.hazard_free)
-            outcome["circuit_states"] = report.circuit_states
-            if report.hazard_free:
-                outcome["status"] = _STATUS_OK
-            elif report.inconclusive:
-                outcome["status"] = _STATUS_INCONCLUSIVE
-                outcome["detail"] = (
-                    "circuit state space truncated before full exploration"
-                )
-            else:
-                outcome["status"] = _STATUS_HAZARD
-                outcome["detail"] = f"{_conflict_count(report)} conflict(s)"
-        return outcome
+        outcome.status, outcome.detail = _synthesise(task, outcome, context)
     finally:
-        outcome["seconds"] = time.perf_counter() - started
+        outcome.seconds = time.perf_counter() - started
         if context.store is not None:
-            outcome["store_traffic"] = context.store.totals()
-            outcome["store_traffic_by_stage"] = context.store.stats()
+            outcome.store_traffic = context.store.totals()
+            outcome.store_traffic_by_stage = context.store.stats()
+    return outcome
 
 
-def _conflict_count(report) -> int:
-    conflicts = report.conflicts
-    return conflicts if isinstance(conflicts, int) else len(conflicts)
+def _synthesise(task: Dict, outcome: DesignOutcome, context) -> Verdict:
+    """Run ``task``'s design, fill ``outcome``'s artifact fields and
+    return its verdict."""
+    from repro.pipeline.core import PipelineSpec
+    from repro.stg.parser import load_g, parse_g
+
+    try:
+        if task.get("spec_text") is not None:
+            stg = parse_g(task["spec_text"], name=outcome.name)
+        else:
+            stg = load_g(task["spec"])
+    except (OSError, ValueError) as exc:
+        return Verdict(STATUS_ERROR, f"cannot load specification: {exc}")
+    if not stg.net.transitions:
+        return Verdict(STATUS_ERROR, "malformed .g file: no transitions")
+    spec = PipelineSpec.from_stg(
+        stg,
+        name=outcome.name,
+        style=task["style"],
+        share_gates=task["share_gates"],
+        verify=task["verify"],
+        max_models=task["max_models"],
+        max_states=task["max_states"] or 200_000,
+    )
+    try:
+        result = run_synthesis(spec, context)
+    except verdict_errors() as exc:
+        return verdict_of_error(exc)
+    except ValueError as exc:
+        return Verdict(STATUS_ERROR, f"invalid specification: {exc}")
+    sg = result.spec
+    outcome.states = len(sg.state_list)
+    outcome.inputs = len(sg.inputs)
+    outcome.outputs = len(sg.signals) - len(sg.inputs)
+    outcome.added_signals = list(result.added_signals)
+    outcome.equations = result.implementation.equations()
+    outcome.gates = len(result.netlist.gates)
+    outcome.fingerprint = result.fingerprint
+    report = result.hazard_report
+    if report is not None:
+        outcome.hazard_free = bool(report.hazard_free)
+        outcome.circuit_states = report.circuit_states
+    return verdict_of(report)
 
 
 # ----------------------------------------------------------------------
 # The process pool
 # ----------------------------------------------------------------------
 def _run_pool(
-    tasks: Iterable[Dict], jobs: int, collect: Callable[[Dict], None]
+    tasks: Iterable[Dict], jobs: int, collect: Callable[[DesignOutcome], None]
 ) -> None:
     """Run ``tasks`` through :func:`_run_design`, collecting each result.
 
@@ -590,13 +537,9 @@ def _run_pool(
     ``collect`` in completion order.
     """
     task_iter: Iterator[Dict] = iter(tasks)
-    if jobs == 1:
-        for task in task_iter:
-            collect(_run_design(task))
-        return
-    head = list(islice(task_iter, PREFETCH_PER_JOB * jobs))
+    head = [] if jobs == 1 else list(islice(task_iter, PREFETCH_PER_JOB * jobs))
     if len(head) <= 1:
-        for task in head:
+        for task in chain(head, task_iter):
             collect(_run_design(task))
         return
     # a head shorter than the window means the stream is exhausted, so
@@ -676,9 +619,6 @@ def run_batch(
     outcomes: List[DesignOutcome] = []
     overlap = {"count": 0}
 
-    def collect(raw: Dict) -> None:
-        emit(DesignOutcome(**raw))
-
     def emit(outcome: DesignOutcome) -> None:
         outcomes.append(outcome)
         if progress is not None:
@@ -686,15 +626,7 @@ def run_batch(
 
     def placement() -> Dict:
         """The task-dict fields shared by every design of this run."""
-        return {
-            "store_root": None if store is None else str(store),
-            "style": style,
-            "share_gates": share_gates,
-            "verify": verify,
-            "max_models": max_models,
-            "max_states": max_states,
-            "timeout_seconds": timeout_seconds,
-        }
+        return dict(options, store_root=None if store is None else str(store))
 
     def reuse(name: str, spec_id: str, spec_fp: str) -> bool:
         """Emit the recorded row for ``name`` if it is still fresh."""
@@ -720,56 +652,45 @@ def run_batch(
             "resume source shares no design names with the input set"
         )
 
-    if corpus is not None:
+    def corpus_tasks() -> Iterator[Dict]:
+        from repro.corpus.factory import corpus_stream
 
-        def corpus_tasks() -> Iterator[Dict]:
-            from repro.corpus.factory import corpus_stream
+        for design in corpus_stream(corpus):
+            spec_id = f"corpus:{design.name}"
+            if reuse(design.name, spec_id, design.fingerprint):
+                continue
+            task = placement()
+            task.update(
+                spec=spec_id,
+                name=design.name,
+                spec_text=design.g_text,
+                spec_fingerprint=design.fingerprint,
+            )
+            yield task
 
-            for design in corpus_stream(corpus):
-                spec_id = f"corpus:{design.name}"
-                if reuse(design.name, spec_id, design.fingerprint):
-                    continue
-                task = placement()
-                task.update(
-                    spec=spec_id,
-                    name=design.name,
-                    spec_text=design.g_text,
-                    spec_fingerprint=design.fingerprint,
-                )
-                yield task
-
-        _run_pool(corpus_tasks(), jobs, collect)
+    def file_tasks() -> List[Dict]:
+        tasks: List[Dict] = []
+        for path in map(str, specs):
+            spec_fp = fingerprint_file(path)
+            if reuse(_design_name(path), path, spec_fp):
+                continue
+            task = placement()
+            task.update(spec=path, spec_fingerprint=spec_fp)
+            tasks.append(task)
         if reusable is not None and not scheduler["resume_skips"]:
-            raise no_overlap_error()
-        return BatchReport(
-            outcomes=outcomes,
-            jobs=jobs,
-            store_root=None if store is None else str(store),
-            options=options,
-            scheduler=scheduler,
-            seed=corpus.seed,
-        )
+            raise no_overlap_error()  # before any design runs
+        return tasks
 
-    tasks: List[Dict] = []
-    for path in specs:
-        path = str(path)
-        name = _design_name(path)
-        spec_fp = fingerprint_file(path)
-        if reuse(name, path, spec_fp):
-            continue
-        task = placement()
-        task.update(spec=path, spec_fingerprint=spec_fp)
-        tasks.append(task)
+    _run_pool(corpus_tasks() if corpus is not None else file_tasks(), jobs, emit)
     if reusable is not None and not scheduler["resume_skips"]:
-        raise no_overlap_error()
-
-    _run_pool(tasks, jobs, collect)
+        raise no_overlap_error()  # a corpus stream's overlap shows once drawn
     return BatchReport(
         outcomes=outcomes,
         jobs=jobs,
         store_root=None if store is None else str(store),
         options=options,
         scheduler=scheduler,
+        seed=None if corpus is None else corpus.seed,
     )
 
 

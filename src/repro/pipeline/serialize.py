@@ -82,6 +82,10 @@ class DetachedHazardReport:
         """
         return self.truncated and not self.conflicts
 
+    @property
+    def conflict_count(self) -> int:
+        return self.conflicts
+
     def describe(self) -> str:
         verdict = (
             "HAZARD-FREE"
@@ -98,10 +102,9 @@ class DetachedHazardReport:
 def _hazard_to_json(report) -> Optional[Dict]:
     if report is None:
         return None
-    conflicts = report.conflicts
     return {
         "hazard_free": report.hazard_free,
-        "conflicts": conflicts if isinstance(conflicts, int) else len(conflicts),
+        "conflicts": report.conflict_count,
         "truncated": report.composition.truncated,
         "circuit_states": report.circuit_states,
     }

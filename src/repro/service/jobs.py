@@ -42,15 +42,27 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro import perf
-from repro.verify.budget import Budget, BudgetExceeded
+from repro import (
+    EXIT_HAZARD,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    STATUS_FAILED,
+    STATUS_INCONCLUSIVE,
+    perf,
+    run_synthesis,
+    verdict_errors,
+    verdict_of,
+    verdict_of_error,
+)
+from repro.verify.budget import Budget
 
-#: job lifecycle states
+#: job lifecycle states; a job ends ``failed`` or ``inconclusive`` with
+#: the design status of the same name
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
-FAILED = "failed"
-INCONCLUSIVE = "inconclusive"
+FAILED = STATUS_FAILED
+INCONCLUSIVE = STATUS_INCONCLUSIVE
 
 #: states a job never leaves
 TERMINAL = frozenset({DONE, FAILED, INCONCLUSIVE})
@@ -199,7 +211,8 @@ class JobOutcome:
     """What one runner produced: a result document plus the verdict."""
 
     result: Optional[Dict] = None
-    status: str = DONE
+    #: the CLI exit code of the same request
+    exit_code: int = EXIT_OK
     detail: str = ""
     #: tokens to drain from the tenant bucket (None: budget.charged_states)
     charged: Optional[int] = None
@@ -209,7 +222,20 @@ class InvalidSpecification(ValueError):
     """The submitted ``.g`` text does not parse into a usable STG."""
 
 
-def _parse_spec(params: Dict):
+class JobFailed(Exception):
+    """The request cannot run: the job ends ``failed`` with this detail."""
+
+
+#: the synth/verify params a :class:`~repro.pipeline.PipelineSpec` takes
+_SPEC_OPTIONS = (
+    "name", "style", "share_gates", "verify", "max_models", "max_states",
+    "verify_max_states",
+)
+
+
+def _pipeline_spec(params: Dict):
+    """The job's pipeline spec, from its ``.g`` text and options."""
+    from repro.pipeline import PipelineSpec
     from repro.stg.parser import parse_g
 
     try:
@@ -218,26 +244,11 @@ def _parse_spec(params: Dict):
         raise InvalidSpecification(str(exc)) from exc
     if not stg.net.transitions:
         raise InvalidSpecification("malformed .g specification: no transitions")
-    return stg
+    return PipelineSpec.from_stg(stg, **{key: params[key] for key in _SPEC_OPTIONS})
 
 
-def _pipeline_spec(params: Dict, stg):
-    from repro.pipeline import PipelineSpec
-
-    return PipelineSpec.from_stg(
-        stg,
-        name=params["name"],
-        style=params["style"],
-        share_gates=params["share_gates"],
-        verify=params["verify"],
-        max_models=params["max_models"],
-        max_states=params["max_states"],
-        verify_max_states=params["verify_max_states"],
-    )
-
-
-def _synth_result(pipeline, spec) -> Dict:
-    """Drive the staged pipeline and build the synth result document.
+def _synth_result(name: str, result) -> Dict:
+    """The synth result document of a :class:`repro.SynthesisResult`.
 
     The ``netlist`` payload is exactly
     :func:`repro.netlist.io.netlist_to_json` (what ``repro-si synth
@@ -250,20 +261,17 @@ def _synth_result(pipeline, spec) -> Dict:
     from repro.netlist.io import netlist_to_json
     from repro.pipeline.serialize import _hazard_to_json
 
-    netlist = pipeline.run(spec, until="netlist")
-    covers = pipeline.run(spec, until="covers")
-    reached = pipeline.run(spec, until="reach")
     return {
         "schema": "repro-service-synth/1",
-        "name": spec.name,
-        "states": reached.states,
-        "inputs": sorted(reached.sg.inputs),
-        "added_signals": list(covers.added_signals),
-        "equations": covers.implementation.equations(),
-        "netlist": _json.loads(netlist_to_json(netlist.netlist)),
-        "gates": len(netlist.netlist.gates),
-        "hazard": _hazard_to_json(netlist.hazard_report),
-        "fingerprint": netlist.fingerprint,
+        "name": name,
+        "states": len(result.spec.state_list),
+        "inputs": sorted(result.spec.inputs),
+        "added_signals": list(result.added_signals),
+        "equations": result.implementation.equations(),
+        "netlist": _json.loads(netlist_to_json(result.netlist)),
+        "gates": len(result.netlist.gates),
+        "hazard": _hazard_to_json(result.hazard_report),
+        "fingerprint": result.fingerprint,
     }
 
 
@@ -282,16 +290,13 @@ def _stage_events(
     context = pipeline.context
     collected: Dict[str, Dict] = {}
     for stage in STAGES:
-        before = dict(context.cache_misses_by_stage)
+        misses = context.cache_misses
         started = time.perf_counter()
         pipeline.run(spec, until=stage, delta=delta)
-        computed = sum(context.cache_misses_by_stage.values()) - sum(
-            before.values()
-        )
         event = {
             "event": "stage",
             "stage": stage,
-            "cached": computed == 0,
+            "cached": context.cache_misses == misses,
             "ms": round((time.perf_counter() - started) * 1000, 3),
         }
         reuse = context.last_reuse.get(stage)
@@ -302,45 +307,39 @@ def _stage_events(
     return collected
 
 
-def _run_synth(params: Dict, context, emit) -> JobOutcome:
+def _synthesise(params: Dict, context, emit):
+    """Stream the stage events, then package the design: (result, document)."""
     from repro.pipeline import Pipeline
 
-    stg = _parse_spec(params)
-    spec = _pipeline_spec(params, stg)
-    pipeline = Pipeline(context)
+    spec = _pipeline_spec(params)
     delta = params.get("delta")
+    reuse = _stage_events(Pipeline(context), spec, emit, delta=delta)
     if delta:
-        reuse = _stage_events(pipeline, spec, emit, delta=delta)
-        # package the edited design's result (memo hits throughout)
         spec = spec.apply_delta(delta)
-        result = _synth_result(pipeline, spec)
-        result["base_job"] = params["base_job"]
-        result["delta"] = delta
-        result["reuse"] = reuse
-        return JobOutcome(result=result)
-    _stage_events(pipeline, spec, emit)
-    return JobOutcome(result=_synth_result(pipeline, spec))
+    # the stages ran above: packaging the design is memo hits throughout
+    result = run_synthesis(spec, context)
+    document = _synth_result(spec.name, result)
+    if delta:
+        document["base_job"] = params["base_job"]
+        document["delta"] = delta
+        document["reuse"] = reuse
+    return result, document
+
+
+def _run_synth(params: Dict, context, emit) -> JobOutcome:
+    return JobOutcome(result=_synthesise(params, context, emit)[1])
 
 
 def _run_verify(params: Dict, context, emit) -> JobOutcome:
     """Synthesise and model-check; verdict mirrors ``repro-si verify``."""
-    outcome = _run_synth(params, context, emit)
-    result = dict(outcome.result)
+    synthesis, result = _synthesise(params, context, emit)
+    verdict = verdict_of(synthesis.hazard_report)
     result["schema"] = "repro-service-verify/1"
-    hazard = result["hazard"]
-    if hazard["hazard_free"]:
-        verdict, exit_code, status, detail = "hazard-free", 0, DONE, ""
-    elif hazard["truncated"] and not hazard["conflicts"]:
-        # truncated with no witness: nothing proven -- the same
-        # inconclusive verdict the CLI reports with exit code 3
-        verdict, exit_code, status = "inconclusive", 3, INCONCLUSIVE
-        detail = "circuit state space truncated before full exploration"
-    else:
-        verdict, exit_code, status = "hazardous", 1, DONE
-        detail = f"{hazard['conflicts']} conflict(s)"
-    result["verdict"] = verdict
-    result["exit_code"] = exit_code
-    return JobOutcome(result=result, status=status, detail=detail)
+    result["verdict"] = verdict.status
+    result["exit_code"] = verdict.exit_code
+    return JobOutcome(
+        result=result, exit_code=verdict.exit_code, detail=verdict.detail
+    )
 
 
 def _run_table1(params: Dict, context, emit) -> JobOutcome:
@@ -350,6 +349,7 @@ def _run_table1(params: Dict, context, emit) -> JobOutcome:
         format_table1,
         run_table1,
         table1_payload,
+        table1_problems,
     )
 
     names = list(params["designs"] or BENCHMARKS)
@@ -369,13 +369,19 @@ def _run_table1(params: Dict, context, emit) -> JobOutcome:
                 "ms": round(result.elapsed_seconds * 1000, 3),
             }
         )
+    problems = table1_problems(results, verify=params["verify"])
+    exit_code = EXIT_HAZARD if problems else EXIT_OK
     return JobOutcome(
         result={
             "schema": "repro-service-table1/1",
             "designs": names,
             "rows": table1_payload(results),
             "table": format_table1(results),
+            "problems": problems,
+            "exit_code": exit_code,
         },
+        exit_code=exit_code,
+        detail="; ".join(problems),
         charged=sum(len(r.spec_sg) for r in results),
     )
 
@@ -394,14 +400,12 @@ def _run_diff(params: Dict, context, emit) -> JobOutcome:
             }
         )
 
-    store_root = None if context.store is None else context.store.root
     report = differential_campaign(
         count=params["count"],
         seed=params["seed"],
         max_states=params["max_states"],
         max_seconds_each=params["max_seconds_each"],
         progress=progress,
-        store=store_root,
     )
     divergent = report.divergent
     result = {
@@ -411,16 +415,13 @@ def _run_diff(params: Dict, context, emit) -> JobOutcome:
         "skipped": len(report.skipped),
         "divergent": len(divergent),
         "divergent_names": sorted(r.name for r in divergent),
-        "exit_code": 1 if divergent else (3 if report.checked == 0 else 0),
+        "exit_code": report.exit_code,
         "summary": report.describe(),
     }
-    status, detail = DONE, ""
-    if not divergent and report.checked == 0:
-        status, detail = INCONCLUSIVE, "every design blew its budget"
     return JobOutcome(
         result=result,
-        status=status,
-        detail=detail,
+        exit_code=report.exit_code,
+        detail=report.detail,
         charged=sum(r.states for r in report.records),
     )
 
@@ -462,29 +463,25 @@ def _run_corpus(params: Dict, context, emit) -> JobOutcome:
             progress=progress,
         )
     except CorpusError as exc:
-        return JobOutcome(status=FAILED, detail=str(exc), charged=0)
-    counts: Dict[str, int] = {}
-    for outcome in report.outcomes:
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        raise JobFailed(str(exc)) from exc
     result = {
         "schema": "repro-service-corpus/1",
         "seed": report.seed,
         "designs": len(report.outcomes),
-        "statuses": counts,
+        "statuses": report.status_counts,
         "scheduler": dict(report.scheduler),
         "manifest": report.manifest(),
         "exit_code": report.exit_code,
         "summary": report.describe(),
     }
-    status, detail = DONE, ""
-    if report.exit_code == 3:
-        status = INCONCLUSIVE
-        detail = "at least one design blew its budget"
-    elif report.exit_code != 0:
-        detail = "hazardous or failed design(s) in the sweep"
+    detail = {
+        EXIT_OK: "",
+        EXIT_HAZARD: "hazardous or failed design(s) in the sweep",
+        EXIT_INCONCLUSIVE: "at least one design blew its budget",
+    }[report.exit_code]
     return JobOutcome(
         result=result,
-        status=status,
+        exit_code=report.exit_code,
         detail=detail,
         charged=sum(o.states for o in report.outcomes),
     )
@@ -506,29 +503,29 @@ def run_job(kind: str, params: Dict, context, emit) -> Dict:
     ``charged`` / ``cache`` and is identical across the thread and
     process executors, so the manager finishes jobs uniformly.
     """
-    from repro.core.insertion import InsertionError
-    from repro.core.synthesis import CSCViolation, SynthesisError
     from repro.pipeline.delta import DeltaError
-    from repro.stg.reachability import ReachabilityError
 
-    status, detail, result, charged = DONE, "", None, None
+    result, charged = None, None
     try:
         outcome = _RUNNERS[kind](params, context, emit)
-        status, detail = outcome.status, outcome.detail
+        # the one exit code -> job status map: inconclusive stays
+        # inconclusive; any other verdict (a hazard or a divergence
+        # included) is a done job whose result carries the exit code
+        status = INCONCLUSIVE if outcome.exit_code == EXIT_INCONCLUSIVE else DONE
+        detail = outcome.detail
         result, charged = outcome.result, outcome.charged
-    except BudgetExceeded as exc:
-        status, detail = INCONCLUSIVE, exc.reason or str(exc)
     except DeltaError as exc:
         # the delta parsed at submit time but does not apply to the
         # base specification (e.g. dropping an edge it does not have)
         status, detail = FAILED, f"edit does not apply: {exc}"
-    except ReachabilityError as exc:
-        status, detail = INCONCLUSIVE, str(exc)
-    except (CSCViolation, InsertionError, SynthesisError) as exc:
-        status, detail = FAILED, f"synthesis failed: {exc}"
     except InvalidSpecification as exc:
         # the only parameter submit-time validation cannot vet: .g text
         status, detail = FAILED, f"invalid specification: {exc}"
+    except JobFailed as exc:
+        status, detail = FAILED, str(exc)
+    except verdict_errors() as exc:
+        # the design status (inconclusive or failed) is the job status
+        status, detail = verdict_of_error(exc)
     except Exception as exc:  # an internal bug, not a bad request:
         # keep the traceback visible instead of mislabeling it
         traceback.print_exc(file=sys.stderr)

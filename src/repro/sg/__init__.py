@@ -21,11 +21,6 @@ This subpackage provides:
 
 from repro._lazy import lazy_exports
 
-# ``compose`` is also the name of its submodule: importing
-# ``repro.sg.compose`` rebinds the package attribute to the module, so
-# the function is bound here, after that import, instead of lazily.
-from repro.sg.compose import CompositionDeadlock, compose
-
 __all__ = [
     "SignalEvent",
     "StateGraph",
@@ -54,8 +49,6 @@ __all__ = [
     "has_csc",
     "csc_conflicts",
     "usc_conflicts",
-    "compose",
-    "CompositionDeadlock",
     "refines",
     "trace_equivalent",
     "RefinementResult",

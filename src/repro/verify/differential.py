@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro import EXIT_HAZARD, EXIT_INCONCLUSIVE, EXIT_OK
 from repro.core.mc import MCReport, RegionVerdict
 from repro.pipeline import AnalysisContext, Pipeline
 from repro.sg.graph import StateGraph
@@ -128,7 +129,6 @@ def diff_state_graph(
     budget: Optional[Budget] = None,
     repair_seconds: Optional[float] = 5.0,
     repair_max_states: int = 2_000,
-    store=None,
 ) -> DiffRecord:
     """Run both analysis paths over one state graph and diff the claims.
 
@@ -137,12 +137,8 @@ def diff_state_graph(
     defaults to the fast path's graph (the reference path never reads
     the bitengine caches either way).
 
-    ``store`` optionally backs both contexts with a persistent
-    :class:`~repro.pipeline.store.ArtifactStore` (MC entries are keyed
-    per engine, so the paths stay independent on disk too).  Note that
-    a *warm* store serves previously-persisted verdicts instead of
-    re-running the analyses -- point it at a fresh directory when the
-    point of the sweep is to exercise both engines.
+    Both paths always run their analyses: neither context has an
+    artifact store, so no verdict is served from an earlier run.
 
     With ``repair=True`` a violated graph is additionally run through
     the insertion engine, and the repaired graph's reports are diffed
@@ -160,10 +156,8 @@ def diff_state_graph(
     # Two analysis worlds over ONE budget: nesting the pipelines inside
     # this campaign shares the campaign's clock/state meter, so each
     # wall-clock second and each elaborated state is charged exactly once.
-    fast_pipeline = Pipeline(AnalysisContext(budget=budget, store=store))
-    reference_pipeline = Pipeline(
-        AnalysisContext(backend="reference", budget=budget, store=store)
-    )
+    fast_pipeline = Pipeline(AnalysisContext(budget=budget))
+    reference_pipeline = Pipeline(AnalysisContext(backend="reference", budget=budget))
     record = DiffRecord(name=name or fast_sg.name, states=len(fast_sg.state_list))
     started = time.monotonic()
     try:
@@ -236,7 +230,6 @@ def diff_stg(
     repair: bool = True,
     budget: Optional[Budget] = None,
     repair_seconds: Optional[float] = 5.0,
-    store=None,
 ) -> DiffRecord:
     """Elaborate a specification twice -- once per path -- and diff."""
     from repro.stg.reachability import ReachabilityError
@@ -257,7 +250,6 @@ def diff_stg(
         repair=repair,
         budget=budget,
         repair_seconds=repair_seconds,
-        store=store,
     )
 
 
@@ -286,7 +278,21 @@ class CampaignReport:
     @property
     def ok(self) -> bool:
         """Zero divergences and at least one conclusively checked design."""
-        return not self.divergent and self.checked > 0
+        return self.exit_code == EXIT_OK
+
+    @property
+    def exit_code(self) -> int:
+        """1 if any design diverged, else 3 if none was checked, else 0."""
+        if self.divergent:
+            return EXIT_HAZARD
+        return EXIT_OK if self.checked else EXIT_INCONCLUSIVE
+
+    @property
+    def detail(self) -> str:
+        """Why the campaign is inconclusive (empty when it is not)."""
+        if self.exit_code == EXIT_INCONCLUSIVE:
+            return "every design blew its budget"
+        return ""
 
     def describe(self) -> str:
         seeded = f" [seed {self.seed}]" if self.seed is not None else ""
@@ -329,7 +335,6 @@ def differential_campaign(
     max_seconds_each: Optional[float] = 30.0,
     repair_seconds: Optional[float] = 5.0,
     progress: Optional[Callable[[DiffRecord], None]] = None,
-    store=None,
 ) -> CampaignReport:
     """Sweep ``count`` randomized specifications through the oracle.
 
@@ -371,7 +376,6 @@ def differential_campaign(
             repair=repair,
             budget=budget,
             repair_seconds=repair_seconds,
-            store=store,
         )
         report.records.append(record)
         if progress is not None:

@@ -300,7 +300,6 @@ class TestVerifyOracle:
         ["info", spec("delement.g")],
         ["synth", spec("delement.g")],
         ["verify", spec("delement.g")],
-        ["diff", "--count", "1"],
         ["table1", "delement"],
     ],
     ids=lambda argv: argv[0],
@@ -369,6 +368,7 @@ def test_synth_loads_only_what_it_runs():
         "repro.verify.faults", "repro.verify.hazard_free",
         "repro.netlist.render", "repro.stg.invariants",
         "repro.core.complexgate", "repro.boolean.minimize",
+        "repro.sg.compose", "repro.netlist.simulate",
     ]
     loaded = _fresh_modules(
         "import contextlib, io\n"

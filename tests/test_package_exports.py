@@ -2,10 +2,9 @@
 
 Every name in a package's ``__all__`` must resolve to the object its
 defining module holds, both in a fresh interpreter and after every
-submodule of ``repro`` has been imported first.  The second case pins
-exports that share their name with a submodule (``repro.netlist.simulate``,
-``repro.sg.compose``): importing such a submodule rebinds the package
-attribute to the module unless the package binds the export eagerly.
+submodule of ``repro`` has been imported first.  The second case catches
+an export that shares its name with a submodule: importing that
+submodule rebinds the package attribute to the module.
 """
 
 import importlib
@@ -100,8 +99,6 @@ def test_documented_imports_keep_working():
         "-c",
         "from repro import synthesize_from_stg, parse_g\n"
         "from repro.pipeline import AnalysisContext, Pipeline, PipelineSpec\n"
-        "from repro.netlist import simulate\n"
-        "from repro.sg import compose\n"
-        "print(callable(simulate), callable(compose), Pipeline.__name__)",
+        "print(callable(synthesize_from_stg), Pipeline.__name__)",
     )
-    assert out.split() == ["True", "True", "Pipeline"]
+    assert out.split() == ["True", "Pipeline"]

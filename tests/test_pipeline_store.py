@@ -438,15 +438,3 @@ class TestArtifactStore:
         totals = warm.store.totals()
         assert totals["miss"] == 0 and totals["corrupt"] == 0
         assert totals["hit"] == 5
-
-    def test_shared_store_across_differential(self, tmp_path, fig3):
-        """diff keys MC per engine: paths stay independent on disk."""
-        from repro.verify.differential import diff_state_graph
-
-        root = str(tmp_path / "store")
-        record = diff_state_graph(fig3, repair=False, store=root)
-        assert not record.mismatches
-        store = ArtifactStore(root)
-        entries = os.listdir(os.path.join(root, "mc"))
-        assert len(entries) == 2  # one verdict each: bitengine, reference
-        assert len(store) >= 4

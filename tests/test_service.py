@@ -843,3 +843,101 @@ class TestCorpusJobs:
         events = [json.loads(line) for line in lines if line.strip()]
         designs = [e["design"] for e in events if e.get("event") == "design"]
         assert len(designs) == 3
+
+
+# ----------------------------------------------------------------------
+# One verdict per design on every surface: CLI, batch worker, service
+# ----------------------------------------------------------------------
+MALFORMED = ".model empty\n.inputs a\n.end\n"
+
+#: case -> (spec text, CLI verb and flags, job options, status, exit code)
+VERDICT_CASES = {
+    "hazard-free": (DELEMENT, ["verify"], {}, "hazard-free", 0),
+    "no-verify": (
+        DELEMENT, ["synth", "--no-verify"], {"verify": False}, "synthesised", 0
+    ),
+    "budget": (
+        DELEMENT, ["verify", "--budget-states", "5"], {"max_states": 5},
+        "inconclusive", 3,
+    ),
+}
+
+
+def _cli_exit(tmp_path, capsys, text, argv):
+    path = tmp_path / "design.g"
+    path.write_text(text)
+    code = main([argv[0], str(path), *argv[1:]])
+    capsys.readouterr()
+    return code
+
+
+def _batch_verdict(tmp_path, text, options):
+    """(design status, batch exit code) of a one-design batch."""
+    from repro.pipeline.batch import run_batch
+
+    path = tmp_path / "design.g"
+    path.write_text(text)
+    report = run_batch(
+        [str(path)],
+        verify=options.get("verify", True),
+        max_states=options.get("max_states"),
+    )
+    (outcome,) = report.outcomes
+    return outcome.status, report.exit_code
+
+
+def _run_job(kind, body):
+    from repro.pipeline.context import AnalysisContext
+    from repro.service.jobs import run_job
+
+    _, _, params = parse_submit(json.dumps(dict(body, kind=kind)).encode())
+    return run_job(kind, params, AnalysisContext(), lambda event: None)
+
+
+def _service_verdict(text, options):
+    """(design status, exit code) a service job reports for one design."""
+    from repro import STATUS_EXIT
+
+    kind = "verify" if options.get("verify", True) else "synth"
+    outcome = _run_job(kind, {"spec": text, "name": "design", "options": options})
+    result = outcome["result"]
+    if result is None:  # a raised verdict: the job ends with its status
+        return outcome["status"], STATUS_EXIT[outcome["status"]]
+    assert outcome["status"] == "done"
+    if kind == "synth":
+        assert result["hazard"] is None
+        return "synthesised", 0
+    return result["verdict"], result["exit_code"]
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_parity(case, tmp_path, capsys):
+    text, argv, options, status, exit_code = VERDICT_CASES[case]
+    assert _cli_exit(tmp_path, capsys, text, argv) == exit_code
+    assert _batch_verdict(tmp_path, text, options) == (status, exit_code)
+    assert _service_verdict(text, options) == (status, exit_code)
+
+
+def test_malformed_spec_verdicts(tmp_path, capsys):
+    """A usage error at the CLI, an ``error`` row, a ``failed`` job."""
+    assert _cli_exit(tmp_path, capsys, MALFORMED, ["verify"]) == 2
+    assert _batch_verdict(tmp_path, MALFORMED, {}) == ("error", 1)
+    assert _service_verdict(MALFORMED, {}) == ("failed", 1)
+
+
+def test_table1_mismatch_is_exit_1_on_cli_and_service(monkeypatch, capsys):
+    from repro.bench import suite
+
+    paper_row = suite.paper_row
+    monkeypatch.setattr(
+        suite, "paper_row", lambda name: paper_row(name)[:2] + (5,)
+    )
+    problem = "delement adds 1 signal(s), the paper 5"
+    assert main(["table1", "delement"]) == 1
+    assert f"repro-si: table1: {problem}\n" in capsys.readouterr().err
+
+    outcome = _run_job("table1", {"options": {"designs": ["delement"]}})
+    assert outcome["status"] == "done"
+    assert outcome["detail"] == problem
+    assert outcome["result"]["problems"] == [problem]
+    assert outcome["result"]["exit_code"] == 1
