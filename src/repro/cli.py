@@ -460,6 +460,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Verify an externally-provided netlist against a specification."""
+    from repro.netlist.circuit_sg import CompositionError, InitialStateMismatch
     from repro.netlist.hazards import verify_speed_independence
     from repro.netlist.io import load_netlist
 
@@ -470,7 +471,19 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read netlist: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"malformed netlist {args.netlist!r}: {exc}") from exc
-    report = verify_speed_independence(netlist, sg, max_states=args.max_states)
+    try:
+        report = verify_speed_independence(netlist, sg, max_states=args.max_states)
+    except InitialStateMismatch as exc:
+        # the circuit's own reset state is wrong: a failed check
+        return _reported(
+            Verdict(STATUS_FAILED, f"netlist {args.netlist!r} does not conform: {exc}")
+        )
+    except CompositionError as exc:
+        # the netlist does not fit the specification's signals: a usage
+        # error, not a hazard
+        raise CliError(
+            f"netlist {args.netlist!r} does not match {args.spec!r}: {exc}"
+        ) from exc
     print(report.describe())
     return _reported(verdict_of(report))
 

@@ -145,7 +145,7 @@ def admission_failure(stg: STG, spec: CorpusSpec) -> Optional[str]:
         return "non-free-choice"
     if admission.require_live_safe:
         try:
-            order, _, arcs = explore(stg, max_states=admission.max_states)
+            exploration = explore(stg, max_states=admission.max_states)
         except ReachabilityError as exc:
             message = str(exc)
             if "reachable markings" in message:
@@ -153,7 +153,9 @@ def admission_failure(stg: STG, spec: CorpusSpec) -> Optional[str]:
             if "state assignment" in message:
                 return "inconsistent-assignment"
             return "unsafe"
-        if not is_live_marking_graph(order, arcs, net.transitions):
+        if not is_live_marking_graph(
+            len(exploration.markings), exploration.arcs, len(exploration.transitions)
+        ):
             return "not-live"
     return None
 

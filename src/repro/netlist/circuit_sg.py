@@ -52,6 +52,12 @@ class CompositionError(RuntimeError):
     pass
 
 
+class InitialStateMismatch(CompositionError):
+    """The netlist fits the specification's signals, but its reset state
+    settles an interface output away from the specification's initial
+    value: the circuit itself does not conform (e.g. a stuck-at fault)."""
+
+
 class PackedExploration:
     """The composed state space on dense indices (BFS discovery order).
 
@@ -222,7 +228,7 @@ def _settled_initial_values(netlist: Netlist, spec: StateGraph) -> Dict[str, int
     values = netlist.settle(values)
     for signal in netlist.interface_outputs:
         if values[signal] != initial_code[signal]:
-            raise CompositionError(
+            raise InitialStateMismatch(
                 f"interface output {signal!r} settles to {values[signal]} "
                 f"but the specification starts at {initial_code[signal]}"
             )

@@ -75,12 +75,15 @@ class StateGraph:
             raise InconsistentStateGraph(f"inputs not in signal list: {sorted(unknown)}")
         self._index: Dict[str, int] = {s: i for i, s in enumerate(self.signals)}
         self._codes: Dict[State, Tuple[int, ...]] = {}
+        # each code packed once, one byte per signal, for the arc check
+        packed: Dict[State, int] = {}
         width = len(self.signals)
         for state, code in codes.items():
             vector = tuple(map(int, code))
             if len(vector) != width or not _BITS.issuperset(vector):
                 raise InconsistentStateGraph(f"bad code for state {state!r}: {code!r}")
             self._codes[state] = vector
+            packed[state] = int.from_bytes(bytes(vector), "little")
         if initial not in self._codes:
             raise InconsistentStateGraph(f"initial state {initial!r} has no code")
         self.initial: State = initial
@@ -95,12 +98,19 @@ class StateGraph:
         predecessors: Dict[State, List[Tuple[SignalEvent, State]]] = {
             s: [] for s in self._codes
         }
+        bits = {s: 1 << 8 * i for i, s in enumerate(self.signals)}
         for source, event, target in arcs:
-            if source not in self._codes or target not in self._codes:
+            src = packed.get(source)
+            dst = packed.get(target)
+            if src is None or dst is None:
                 raise InconsistentStateGraph(
                     f"arc ({source!r}, {event}, {target!r}) references unknown state"
                 )
-            self._check_arc(source, event, target)
+            # consistent iff the codes differ in exactly the event's signal
+            # and the target holds the value after the edge
+            bit = bits.get(event.signal)
+            if bit is None or src ^ dst != bit or (dst & bit != 0) != (event.direction == 1):
+                self._arc_violation(source, event, target)
             successors[source].append((event, target))
             predecessors[target].append((event, source))
         # The graph is immutable from here on, so the adjacency and the
@@ -122,24 +132,18 @@ class StateGraph:
     # ------------------------------------------------------------------
     # Consistency
     # ------------------------------------------------------------------
-    def _check_arc(self, source: State, event: SignalEvent, target: State) -> None:
-        """Enforce the consistent state assignment rules of Sec. II-A."""
+    def _arc_violation(self, source: State, event: SignalEvent, target: State) -> None:
+        """Name the consistent-state-assignment rule (Sec. II-A) an arc breaks.
+
+        Only called for an arc the packed check in ``__init__`` rejected,
+        so one of the rules below always fails.
+        """
         i = self._index.get(event.signal)
-        src, dst = self._codes[source], self._codes[target]
-        if i is not None:
-            after = 1 if event.direction == 1 else 0
-            if (
-                dst[i] == after
-                and src[i] != after
-                and src[:i] == dst[:i]
-                and src[i + 1 :] == dst[i + 1 :]
-            ):
-                return
-        # slow path: only reached to name the violated rule
         if i is None:
             raise InconsistentStateGraph(
                 f"arc event on unknown signal {event.signal!r}"
             )
+        src, dst = self._codes[source], self._codes[target]
         if src[i] != event.value_before or dst[i] != event.value_after:
             raise InconsistentStateGraph(
                 f"arc {source!r} --{event}--> {target!r} conflicts with codes "

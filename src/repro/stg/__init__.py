@@ -8,13 +8,14 @@ substrate: benchmark behaviours are written as STGs (in the classic
 reachability.
 
 * :class:`~repro.stg.petrinet.PetriNet` -- places, transitions, arcs,
-  markings, firing rule,
 * :class:`~repro.stg.stg.STG` -- a Petri net whose transitions are
   labelled with signal edges, plus the input/output signal partition,
 * :mod:`~repro.stg.parser` / :mod:`~repro.stg.writer` -- ``.g`` I/O with
   implicit places (``a+ b-`` arcs between transitions),
 * :func:`~repro.stg.reachability.stg_to_state_graph` -- reachability
-  analysis producing a consistent :class:`~repro.sg.graph.StateGraph`,
+  analysis producing a consistent :class:`~repro.sg.graph.StateGraph`
+  (the firing rule, on integer-packed markings, is
+  :func:`~repro.stg.reachability.explore`),
 * :mod:`~repro.stg.structural` -- marked-graph / free-choice / safeness
   checks.
 """

@@ -1,4 +1,4 @@
-"""Ordinary Petri nets with interleaving firing semantics.
+"""Ordinary Petri nets: the structure under a signal transition graph.
 
 Places and transitions are identified by strings.  All arcs have weight
 one (ordinary nets); the STG interpretation of asynchronous control
@@ -6,20 +6,18 @@ requires 1-safe behaviour, which the reachability analysis enforces
 dynamically (a marking trying to put a second token on a place is
 reported as a safeness violation).
 
-Markings are ``frozenset`` of marked places -- adequate for the safe nets
-this library targets, and the safeness monitor rejects the nets for which
-it would be lossy.
+This module holds the net's structure only.  A marking is given as a
+``frozenset`` of marked places (an STG's initial marking, a delta's
+``SetMarking``); the firing rule lives in one place,
+:func:`repro.stg.reachability.explore`, which numbers the places in
+sorted order and fires on markings packed into integers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 Marking = FrozenSet[str]
-
-
-class SafenessViolation(ValueError):
-    """A transition firing would place a second token on a place."""
 
 
 class PetriNet:
@@ -60,27 +58,6 @@ class PetriNet:
                 raise ValueError(
                     f"arc ({source!r}, {target!r}) must connect a place and a transition"
                 )
-
-    # ------------------------------------------------------------------
-    def enabled(self, marking: Marking) -> List[str]:
-        """Transitions enabled under ``marking``, sorted for determinism."""
-        return sorted(t for t in self.transitions if self.preset[t] <= marking)
-
-    def is_enabled(self, marking: Marking, transition: str) -> bool:
-        return self.preset[transition] <= marking
-
-    def fire(self, marking: Marking, transition: str) -> Marking:
-        """Fire ``transition``; raises on disabled or unsafe firings."""
-        if not self.is_enabled(marking, transition):
-            raise ValueError(f"transition {transition!r} is not enabled")
-        after = set(marking) - self.preset[transition]
-        for place in self.postset[transition]:
-            if place in after:
-                raise SafenessViolation(
-                    f"firing {transition!r} puts a second token on {place!r}"
-                )
-            after.add(place)
-        return frozenset(after)
 
     # ------------------------------------------------------------------
     def check_connected(self) -> bool:

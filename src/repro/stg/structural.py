@@ -8,13 +8,16 @@
   unique input place of each of them -- choices are "clean".
 * **Live and safe** (on the explored reachability graph): every
   transition remains fireable from every reachable marking, and no
-  firing ever violates 1-safeness.  Liveness is one linear pass over
-  the marking graph's bottom strongly connected components.
+  firing ever violates 1-safeness.  Both are read off the packed
+  exploration of :func:`repro.stg.reachability.explore` (integer
+  markings, index arcs): safeness is checked while it fires, liveness
+  is one linear pass over the marking graph's bottom strongly
+  connected components.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Hashable, Iterable, List, Mapping, Set, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.stg.petrinet import PetriNet
 from repro.stg.stg import STG
@@ -51,36 +54,35 @@ def is_live_and_safe(stg: STG, max_states: int = 200_000) -> bool:
     from repro.stg.reachability import ReachabilityError, explore
 
     try:
-        order, _, arcs = explore(stg, max_states=max_states)
+        exploration = explore(stg, max_states=max_states)
     except ReachabilityError:
         return False
-    return is_live_marking_graph(order, arcs, stg.net.transitions)
+    return is_live_marking_graph(
+        len(exploration.markings), exploration.arcs, len(exploration.transitions)
+    )
 
 
 def is_live_marking_graph(
-    order: Mapping[Hashable, int],
-    arcs: Iterable[Tuple[Hashable, str, Hashable]],
-    transitions: AbstractSet[str],
+    count: int, arcs: Iterable[Tuple[int, int, int]], transitions: int
 ) -> bool:
     """Every transition stays fireable from every marking of the graph.
 
-    ``order`` maps each marking to a dense index and ``arcs`` lists
-    ``(marking, transition, marking')``, as
-    :func:`~repro.stg.reachability.explore` returns them.
-    A finite marking graph is live iff every bottom strongly connected
-    component (one no arc leaves) fires every transition (Murata 1989).
-    One iterative Tarjan pass finds the components in linear time; a
+    The graph has markings ``0 .. count-1`` and ``transitions``
+    transitions; ``arcs`` lists ``(marking, transition, marking')``
+    index triples, as :func:`~repro.stg.reachability.explore` returns
+    them.  A finite marking graph is live iff every bottom strongly
+    connected component (one no arc leaves) fires every transition
+    (Murata 1989).  One iterative Tarjan pass finds the components in
+    linear time; the transitions a component fires are one bitmask.  A
     marking without successors is a bottom component firing nothing,
     which is live only for a net without transitions.
     """
-    everything = set(transitions)
-    count = len(order)
+    everything = (1 << transitions) - 1
     successors: List[List[int]] = [[] for _ in range(count)]
-    fired: List[List[str]] = [[] for _ in range(count)]
+    fired = [0] * count
     for source, transition, target in arcs:
-        i = order[source]
-        successors[i].append(order[target])
-        fired[i].append(transition)
+        successors[source].append(target)
+        fired[source] |= 1 << transition
 
     index = [-1] * count
     low = [0] * count
@@ -130,9 +132,9 @@ def is_live_marking_graph(
                 for target in successors[member]
             )
             if bottom:
-                seen: Set[str] = set()
+                seen = 0
                 for member in members:
-                    seen.update(fired[member])
+                    seen |= fired[member]
                 if seen != everything:
                     return False
     return True

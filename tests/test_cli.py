@@ -190,6 +190,84 @@ class TestErrorPaths:
         assert main(["check", spec("delement.g"), str(tmp_path / "no.json")]) == 2
         assert "netlist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("style", ["C", "RS-NOR"])
+    def test_check_with_mismatched_netlist(self, style, tmp_path, capsys):
+        # the saved netlist drives the inserted state signal, which the
+        # original specification lacks (the RS-NOR latch of delement is
+        # itself reported hazardous, exit 1; the netlist is written anyway)
+        netlist = tmp_path / "net.json"
+        argv = ["synth", spec("delement.g"), "--style", style, "--save-netlist"]
+        assert main(argv + [str(netlist)]) in (0, 1)
+        assert netlist.exists()
+        capsys.readouterr()
+        assert main(["check", spec("delement.g"), str(netlist)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-si: error: netlist ")
+        assert err.count("\n") == 1
+
+    def test_check_with_stuck_output_fails(self, tmp_path, capsys):
+        # the netlist fits the specification's signals, but an output
+        # stuck at the wrong value breaks the reset state: a failed check
+        # (exit 1), not a usage error
+        from repro.netlist.io import load_netlist, save_netlist
+        from repro.stg.parser import load_g
+        from repro.stg.reachability import stg_to_state_graph
+        from repro.verify.faults import stuck_at
+
+        path = spec("mp-forward-pkt.g")
+        netlist = tmp_path / "net.json"
+        assert main(["synth", path, "--save-netlist", str(netlist)]) == 0
+        sg = stg_to_state_graph(load_g(path))
+        initial = sg.code_dict(sg.initial)
+        good = load_netlist(str(netlist))
+        output = sorted(good.interface_outputs)[0]
+        save_netlist(stuck_at(good, output, 1 - initial[output]), str(netlist))
+        capsys.readouterr()
+        assert main(["check", path, str(netlist)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-si: netlist ")
+        assert f"interface output {output!r} settles to" in err
+        assert err.count("\n") == 1
+
+
+UNSAFE_FOUR_PLACES = """
+.inputs a
+.outputs b
+.graph
+p a+
+a+ qa qb qc qd
+qa b+
+qb b+
+qc b+
+qd b+
+b+ p
+.marking { p qa qb qc qd }
+.end
+"""
+
+
+def test_unsafe_spec_message_independent_of_hash_seed(tmp_path):
+    """``a+`` puts a second token on four places; every hash seed names the same one."""
+    import subprocess
+    import sys
+
+    path = tmp_path / "unsafe.g"
+    path.write_text(UNSAFE_FOUR_PLACES)
+    outputs = []
+    for hash_seed in ("1", "3"):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "synth", str(path)],
+            capture_output=True,
+            env=dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+            ),
+        )
+        assert b"second token on 'qa'" in result.stderr
+        outputs.append((result.returncode, result.stderr))
+    assert outputs[0] == outputs[1]
+
 
 class TestExitCodes:
     """0 = hazard-free, 1 = hazard, 2 = usage, 3 = inconclusive."""

@@ -432,7 +432,8 @@ class TestFactory:
             families=FAST_FAMILIES,
             admission=AdmissionSpec(require_consistent=False),
         )
-        fired = {transition for _, transition, _ in explore(stg)[2]}
+        exploration = explore(stg)
+        fired = {exploration.transitions[t] for _, t, _ in exploration.arcs}
         assert fired == set(stg.net.transitions)
         assert admission_failure(stg, spec) == "not-live"
 

@@ -115,6 +115,24 @@ class TestConstruction:
                 "s",
             )
 
+    def test_arc_to_unknown_state(self):
+        message = "arc ('s', a+, 'x') references unknown state"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
+            StateGraph(("a",), (), {"s": (0,)}, [("s", SignalEvent.rise("a"), "x")], "s")
+
+    def test_self_loop_conflicts_with_codes(self):
+        # equal codes: the packed check sees no flipped bit at all
+        message = "arc 's' --a+--> 's' conflicts with codes (0, 1) -> (0, 1)"
+        with pytest.raises(InconsistentStateGraph, match=re.escape(message)):
+            StateGraph(
+                ("a", "b"), (), {"s": (0, 1)}, [("s", SignalEvent.rise("a"), "s")], "s"
+            )
+
+    @pytest.mark.parametrize("code", [(0, 2), (-1, 0), (0, 256)])
+    def test_code_values_must_be_bits(self, code):
+        with pytest.raises(InconsistentStateGraph, match="bad code for state 's'"):
+            StateGraph(("a", "b"), (), {"s": code}, [], "s")
+
     def test_check_flags_unreachable_states(self):
         sg = StateGraph(
             ("a",),

@@ -36,9 +36,9 @@ v- r+
 
 class TestExplore:
     def test_toggle_has_four_markings(self):
-        order, parities, arcs = explore(parse_g(TOGGLE))
-        assert len(order) == 4
-        assert len(arcs) == 4
+        exploration = explore(parse_g(TOGGLE))
+        assert len(exploration.markings) == 4
+        assert len(exploration.arcs) == 4
 
     def test_concurrency_diamond(self):
         sg = stg_to_state_graph(parse_g(CONCURRENT))

@@ -132,14 +132,23 @@ def test_deadlock_not_live():
 
 
 def test_marking_graph_without_transitions_is_live():
-    assert is_live_marking_graph({"m0": 0}, [], frozenset())
+    assert is_live_marking_graph(1, [], 0)
 
 
 def test_marking_without_successors_is_a_dead_bottom_component():
-    order = {"m0": 0, "m1": 1}
-    arcs = [("m0", "t", "m1")]
-    assert not is_live_marking_graph(order, arcs, {"t"})
-    assert is_live_marking_graph(order, arcs + [("m1", "t", "m0")], {"t"})
+    arcs = [(0, 0, 1)]
+    assert not is_live_marking_graph(2, arcs, 1)
+    assert is_live_marking_graph(2, arcs + [(1, 0, 0)], 1)
+
+
+def _indexed(order, arcs, transitions):
+    """``is_live_marking_graph`` arguments for a graph over named markings."""
+    number = {t: i for i, t in enumerate(sorted(transitions))}
+    return (
+        len(order),
+        [(order[s], number[t], order[d]) for s, t, d in arcs],
+        len(number),
+    )
 
 
 def _fixpoint_is_live(order, arcs, transitions):
@@ -205,21 +214,23 @@ def test_marking_graph_liveness_matches_fixpoint_oracle():
     for _ in range(400):
         order, arcs, transitions = _random_marking_graph(rng)
         expected = _fixpoint_is_live(order, arcs, transitions)
-        assert is_live_marking_graph(order, arcs, transitions) == expected
+        assert is_live_marking_graph(*_indexed(order, arcs, transitions)) == expected
         verdicts.append(expected)
     # the quadratic oracle bounds the graph size kept in a smoke test
     for _, stg in fuzz_specs(40, seed=3):
         try:
-            order, _, arcs = explore(stg, max_states=600)
+            exploration = explore(stg, max_states=600)
         except ReachabilityError:
             continue
-        transitions = stg.net.transitions
-        assert is_live_marking_graph(order, arcs, transitions)
-        assert _fixpoint_is_live(order, arcs, transitions)
+        count = len(exploration.markings)
+        arcs = exploration.arcs
+        transitions = range(len(exploration.transitions))
+        assert is_live_marking_graph(count, arcs, len(transitions))
+        assert _fixpoint_is_live(range(count), arcs, transitions)
         # silencing one transition leaves dead ends and smaller cycles
         silenced = min(transitions)
         kept = [arc for arc in arcs if arc[1] != silenced]
-        expected = _fixpoint_is_live(order, kept, transitions)
-        assert is_live_marking_graph(order, kept, transitions) == expected
+        expected = _fixpoint_is_live(range(count), kept, transitions)
+        assert is_live_marking_graph(count, kept, len(transitions)) == expected
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
