@@ -27,8 +27,9 @@ Finally the smoke POSTs ``/v1/shutdown`` and fails unless the drain
 reports zero pending jobs **and** the server process exits 0 -- the
 non-clean-shutdown failure mode this script exists to catch.
 
-Both processes run under ``PYTHONHASHSEED=0`` so iteration order can
-never masquerade as nondeterminism.
+Both processes run under whatever ``PYTHONHASHSEED`` the caller has:
+synthesis does not depend on it, so the byte comparison holds for any
+pair of seeds.
 
 Usage::
 
@@ -56,7 +57,6 @@ TABLE1_DESIGNS = ("delement", "nak-pa", "mp-forward-pkt")
 _ENV = {
     **os.environ,
     "PYTHONPATH": os.path.join(_REPO_ROOT, "src"),
-    "PYTHONHASHSEED": "0",
 }
 
 

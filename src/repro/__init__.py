@@ -179,14 +179,18 @@ def verdict_errors() -> Tuple[type, ...]:
 def verdict_of_error(exc: Exception) -> Verdict:
     """The verdict of an exception in :func:`verdict_errors`.
 
-    A tripped budget or a blown reachability cap is inconclusive; a
+    A tripped budget or a blown reachability cap is inconclusive.  Any
+    other reachability error -- an unsafe net, no consistent state
+    assignment -- is an invalid specification (status ``error``).  A
     synthesis that cannot complete is a definite failure.
     """
-    from repro.stg.reachability import ReachabilityError
+    from repro.stg.reachability import ReachabilityError, StateCapExceeded
     from repro.verify.budget import BudgetExceeded
 
-    if isinstance(exc, (BudgetExceeded, ReachabilityError)):
+    if isinstance(exc, (BudgetExceeded, StateCapExceeded)):
         return Verdict(STATUS_INCONCLUSIVE, getattr(exc, "reason", None) or str(exc))
+    if isinstance(exc, ReachabilityError):
+        return Verdict(STATUS_ERROR, f"invalid specification: {exc}")
     return Verdict(STATUS_FAILED, f"synthesis failed: {exc}")
 
 

@@ -33,6 +33,7 @@ from repro import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    STATUS_ERROR,
     STATUS_FAILED,
     STATUS_INCONCLUSIVE,
     Verdict,
@@ -44,7 +45,7 @@ from repro import (
 )
 from repro.sg.graph import InconsistentStateGraph
 from repro.stg.parser import load_g
-from repro.stg.reachability import ReachabilityError, stg_to_state_graph
+from repro.stg.reachability import StateCapExceeded, stg_to_state_graph
 
 
 class CliError(Exception):
@@ -62,9 +63,10 @@ def _load(path: str, max_states: int = 1_000_000):
         raise CliError(f"malformed .g file {path!r}: no transitions")
     try:
         return stg, stg_to_state_graph(stg, max_states=max_states)
-    except ReachabilityError:
+    except StateCapExceeded:
         raise  # state blowup: inconclusive, handled in main()
     except (InconsistentStateGraph, ValueError) as exc:
+        # an unsafe or inconsistent net (ReachabilityError) included
         raise CliError(f"invalid specification {path!r}: {exc}") from exc
 
 
@@ -917,7 +919,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-si: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except verdict_errors() as exc:
-        return _reported(verdict_of_error(exc))
+        verdict = verdict_of_error(exc)
+        if verdict.status == STATUS_ERROR:
+            print(f"repro-si: error: {verdict.detail}", file=sys.stderr)
+            return EXIT_USAGE
+        return _reported(verdict)
 
 
 if __name__ == "__main__":

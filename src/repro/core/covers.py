@@ -45,8 +45,8 @@ from repro.sg.graph import State, StateGraph
 from repro.sg.regions import (
     ExcitationRegion,
     constant_function_region,
-    excited_value_sets,
     ordered_signals,
+    value_set_bits,
 )
 
 
@@ -99,13 +99,11 @@ def _forbidden_bits(sg: StateGraph, signal: str, direction: int) -> int:
     cached = cache.get(key)
     if cached is not None:
         return cached
-    engine = bit_analysis(sg)
-    sets = excited_value_sets(sg, signal)
+    sets = value_set_bits(sg, signal)
     if direction == 1:
-        forbidden = sets["1*-set"] | sets["0-set"]
+        bits = sets["1*-set"] | sets["0-set"]
     else:
-        forbidden = sets["0*-set"] | sets["1-set"]
-    bits = engine.bits_of(forbidden)
+        bits = sets["0*-set"] | sets["1-set"]
     cache[key] = bits
     return bits
 
@@ -147,21 +145,20 @@ def is_consistent_excitation_function(
     satisfies this by construction -- asserted in the test-suite.
     """
     engine = bit_analysis(sg)
-    sets = excited_value_sets(sg, signal)
+    sets = value_set_bits(sg, signal)
     if direction == 1:
-        must_one = sets["0*-set"]
-        must_zero = sets["1*-set"] | sets["0-set"]
+        must_one_bits = sets["0*-set"]
+        must_zero_bits = sets["1*-set"] | sets["0-set"]
     else:
-        must_one = sets["1*-set"]
-        must_zero = sets["0*-set"] | sets["1-set"]
+        must_one_bits = sets["1*-set"]
+        must_zero_bits = sets["0*-set"] | sets["1-set"]
     ones = _function_bits(engine, cover)
     if ones is None:  # unknown callable: fall back to per-state evaluation
         evaluator = cover.evaluator(sg.signals)
-        return all(evaluator(sg.code(s)) for s in must_one) and not any(
-            evaluator(sg.code(s)) for s in must_zero
+        states_of = engine.states_of
+        return all(evaluator(sg.code(s)) for s in states_of(must_one_bits)) and not any(
+            evaluator(sg.code(s)) for s in states_of(must_zero_bits)
         )
-    must_one_bits = engine.bits_of(must_one)
-    must_zero_bits = engine.bits_of(must_zero)
     return must_one_bits & ~ones == 0 and ones & must_zero_bits == 0
 
 
@@ -457,7 +454,8 @@ def _greedy_mc_search(
             return None
         # drop a literal implicated in the *second* change edge
         u2, v2 = witness
-        diff = engine.packed[u2] ^ engine.packed[v2]
+        codes, index = engine.packed_list, engine.index
+        diff = codes[index[u2]] ^ codes[index[v2]]
         position_of = engine.position
         changed = [
             s for s, _ in cube.literals if diff >> position_of[s] & 1

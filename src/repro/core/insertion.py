@@ -37,8 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro import perf
 from repro.core.assignment import LabelEncoding, lifted_phases, phases
 from repro.core.mc import MCReport, RegionVerdict, analyze_mc
-from repro.sg.events import SignalEvent
-from repro.sg.graph import State, StateGraph
+from repro.sg.graph import State, StateGraph, event_id
 from repro.sg.properties import conflict_states
 
 
@@ -61,60 +60,99 @@ def expand_with_signal(
     ``x+``/``x-`` arc between their phases; original arcs are lifted
     according to the label rules (see :mod:`repro.core.assignment`).
     Raises ``ValueError`` on labellings violating those rules.
+
+    The expansion is built from ``sg``'s dense form: its states in
+    ``sg``'s order (each followed by its phases), the new signal's own
+    arcs first, then the lifted arcs in ``sg``'s arc order.
     """
     if signal in sg.signals:
         raise ValueError(f"signal name {signal!r} already in use")
-    for state in sg.states:
-        if state not in labelling:
+    labels: List[str] = []
+    for state in sg.state_list:
+        label = labelling.get(state)
+        if label is None:
             raise ValueError(f"state {state!r} has no label")
-        if labelling[state] not in ("0", "1", "U", "D"):
-            raise ValueError(f"bad label {labelling[state]!r} for {state!r}")
+        if label not in _PHASES:
+            raise ValueError(f"bad label {label!r} for {state!r}")
+        labels.append(label)
 
-    new_signals = sg.signals + (signal,)
-    codes: Dict[Tuple[State, int], Tuple[int, ...]] = {}
-    for state in sg.states:
-        for phase in phases(labelling[state]):
-            codes[(state, phase)] = sg.code(state) + (phase,)
+    width = len(sg.signals)
+    x_bit = 1 << width
+    states: List[Tuple[State, int]] = []
+    codes: List[int] = []
+    # slot[k][phase]: the index of (state k, phase) in the expansion
+    slot: List[List[int]] = []
+    for state, code, label in zip(sg.state_list, sg.packed_codes, labels):
+        phase_slots = [-1, -1]
+        for phase in _PHASES[label]:
+            phase_slots[phase] = len(states)
+            states.append((state, phase))
+            codes.append(code | x_bit if phase else code)
+        slot.append(phase_slots)
 
-    arcs: List[Tuple[Tuple[State, int], SignalEvent, Tuple[State, int]]] = []
-    for state in sg.states:
-        label = labelling[state]
+    sources: List[int] = []
+    events: List[int] = []
+    targets: List[int] = []
+    rise, fall = event_id(width, +1), event_id(width, -1)
+    for phase_slots, label in zip(slot, labels):
         if label == "U":
-            arcs.append(((state, 0), SignalEvent(signal, +1), (state, 1)))
+            sources.append(phase_slots[0])
+            events.append(rise)
+            targets.append(phase_slots[1])
         elif label == "D":
-            arcs.append(((state, 1), SignalEvent(signal, -1), (state, 0)))
+            sources.append(phase_slots[1])
+            events.append(fall)
+            targets.append(phase_slots[0])
 
-    for source, event, target in sg.arcs():
-        s_label, t_label = labelling[source], labelling[target]
-        lifts = lifted_phases(s_label, t_label)
-        if not lifts:
-            raise ValueError(
-                f"arc {source!r} --{event}--> {target!r} cannot be lifted "
-                f"under labels {s_label} -> {t_label}"
-            )
-        if event.signal in sg.inputs and set(lifts) != set(phases(s_label)):
-            raise ValueError(
-                f"labelling delays input event {event} at {source!r}"
-            )
+    inputs = sg.inputs
+    input_events = {e for e, event in enumerate(sg.events) if event.signal in inputs}
+    for s, e, t in zip(sg.arc_sources, sg.arc_events, sg.arc_targets):
+        s_label, t_label = labels[s], labels[t]
+        lifts, delays = _LIFTS[s_label, t_label]
+        if not lifts or (delays and e in input_events):
+            source, event, target = sg.state_list[s], sg.events[e], sg.state_list[t]
+            if not lifts:
+                raise ValueError(
+                    f"arc {source!r} --{event}--> {target!r} cannot be lifted "
+                    f"under labels {s_label} -> {t_label}"
+                )
+            raise ValueError(f"labelling delays input event {event} at {source!r}")
+        source_slots, target_slots = slot[s], slot[t]
         for phase in lifts:
-            arcs.append(((source, phase), event, (target, phase)))
+            sources.append(source_slots[phase])
+            events.append(e)
+            targets.append(target_slots[phase])
 
-    initial_phase = phases(labelling[sg.initial])[0]
-    expanded = StateGraph(
-        new_signals,
-        sg.inputs,
+    start = slot[sg.initial_index][_PHASES[labels[sg.initial_index]][0]]
+    expanded = StateGraph.from_packed(
+        sg.signals + (signal,),
+        inputs,
+        states,
         codes,
-        arcs,
-        (sg.initial, initial_phase),
+        sources,
+        events,
+        targets,
+        start,
         name=name or f"{sg.name}+{signal}",
     )
     # Unreachable phases can arise (e.g. the 0 phase of a D state no
     # predecessor reaches); prune them so region analysis sees the true
     # behaviour.
     reachable = expanded.reachable_from(expanded.initial)
-    if reachable != expanded.states:
+    if len(reachable) != len(expanded):
         expanded = expanded.restricted_to(reachable)
     return expanded
+
+
+#: label -> the x-value phases a state of that label expands into
+_PHASES = {label: phases(label) for label in ("0", "1", "U", "D")}
+#: (source label, target label) -> (lifted phases, whether lifting
+#: delays the arc relative to the source's phases)
+_LIFTS = {
+    (a, b): (lifted_phases(a, b), set(lifted_phases(a, b)) != set(phases(a)))
+    for a in _PHASES
+    for b in _PHASES
+}
 
 
 def project_away(sg: StateGraph, signal: str) -> StateGraph:
@@ -174,6 +212,11 @@ def project_away(sg: StateGraph, signal: str) -> StateGraph:
 # ----------------------------------------------------------------------
 # Separation constraints from MC violations
 # ----------------------------------------------------------------------
+def _in_order(sg: StateGraph, states: Iterable[State]) -> List[State]:
+    """A state set (a ``frozenset``, iterated in hash order) in ``sg``'s order."""
+    return sorted(states, key=sg.state_index.__getitem__)
+
+
 def _region_transition_targets(
     sg: StateGraph, verdict: RegionVerdict
 ) -> Dict[State, List[State]]:
@@ -222,14 +265,14 @@ def add_separation_constraints(
         stuck_delay_label, stuck_targets = "U", ("1", "D")
 
     targets = _region_transition_targets(sg, verdict)
-    for state in verdict.er.states:
+    for state in _in_order(sg, verdict.er.states):
         encoding.require_label(state, region_labels)
         for target in targets[state]:
             encoding.require_implication(state, rise_label, target, region_stable)
-    for stuck in verdict.stuck_stable:
+    for stuck in _in_order(sg, verdict.stuck_stable):
         encoding.require_label(stuck, (stuck_value_label,))
     event = verdict.er.event.inverse()
-    for stuck in verdict.stuck_opposite:
+    for stuck in _in_order(sg, verdict.stuck_opposite):
         encoding.require_label(stuck, (stuck_value_label, stuck_delay_label))
         for target in sg.fire(stuck, event):
             encoding.require_implication(
@@ -468,9 +511,9 @@ def _partition_candidates(
                     return
                 cnf = CNF()
                 var = {s: cnf.var(("v", s)) for s in states}
-                for state in verdict.er.states:
+                for state in _in_order(sg, verdict.er.states):
                     cnf.add(var[state] if region_value else -var[state])
-                for stuck in verdict.stuck_states:
+                for stuck in _in_order(sg, verdict.stuck_states):
                     cnf.add(var[stuck] if stuck_value else -var[stuck])
                 boundary_lits = []
                 for source, _, target in arcs:

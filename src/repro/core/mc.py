@@ -175,7 +175,7 @@ def _function_verdicts(
         stuck_opposite: FrozenSet[State] = frozenset()
         if cube is None:
             smallest = smallest_cover_cube(sg, er)
-            outside = check_monotonous_cover(sg, er, smallest, cfr).outside_cfr
+            outside = check_monotonous_cover(sg, er, smallest).outside_cfr
             stuck_stable, stuck_opposite = _classify_stuck(sg, er, outside)
         verdicts.append(
             RegionVerdict(

@@ -34,6 +34,7 @@ from repro.core.covers import (
     smallest_cover_cube,
 )
 from repro.core.mc import MCReport, analyze_mc
+from repro.sg.bitengine import bit_analysis
 from repro.sg.graph import StateGraph
 from repro.sg.regions import ExcitationRegion, excitation_regions
 
@@ -204,12 +205,18 @@ def _degenerate_function_cube(
     for signal, value in sorted(candidates):
         cube = Cube({signal: value})
         if all(
-            covers_correctly(sg, er, cube)
-            and all(cube.covers(sg.code_dict(s)) for s in er.states)
+            covers_correctly(sg, er, cube) and _literal_covers(sg, er, signal, value)
             for er in regions
         ):
             return cube
     return None
+
+
+def _literal_covers(sg: StateGraph, er: ExcitationRegion, signal: str, value: int) -> bool:
+    """True if ``signal = value`` holds in every state of the region."""
+    engine = bit_analysis(sg)
+    er_bits = engine.region_bits(("er", er), er.states)
+    return er_bits & ~engine.literal_bits(engine.position[signal], value) == 0
 
 
 def _wire_candidate(
@@ -237,14 +244,13 @@ def _wire_candidate(
         up_cube = Cube({signal: value})
         down_cube = Cube({signal: 1 - value})
         if not all(
-            covers_correctly(sg, er, up_cube)
-            and all(up_cube.covers(sg.code_dict(s)) for s in er.states)
+            covers_correctly(sg, er, up_cube) and _literal_covers(sg, er, signal, value)
             for er in ups
         ):
             continue
         if all(
             covers_correctly(sg, er, down_cube)
-            and all(down_cube.covers(sg.code_dict(s)) for s in er.states)
+            and _literal_covers(sg, er, signal, 1 - value)
             for er in downs
         ):
             return (signal, value)

@@ -31,7 +31,7 @@ from repro.corpus.families import FAMILIES
 from repro.corpus.spec import CorpusSpec, FamilySpec
 from repro.pipeline.core import PipelineSpec
 from repro.stg.invariants import is_consistent_net
-from repro.stg.reachability import ReachabilityError, explore
+from repro.stg.reachability import ReachabilityError, StateCapExceeded, explore
 from repro.stg.stg import STG
 from repro.stg.structural import is_free_choice, is_live_marking_graph
 from repro.stg.writer import dumps_g
@@ -146,11 +146,10 @@ def admission_failure(stg: STG, spec: CorpusSpec) -> Optional[str]:
     if admission.require_live_safe:
         try:
             exploration = explore(stg, max_states=admission.max_states)
+        except StateCapExceeded:
+            return "state-cap"
         except ReachabilityError as exc:
-            message = str(exc)
-            if "reachable markings" in message:
-                return "state-cap"
-            if "state assignment" in message:
+            if "state assignment" in str(exc):
                 return "inconsistent-assignment"
             return "unsafe"
         if not is_live_marking_graph(

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.netlist.netlist import Netlist, NetlistPlan
 from repro.sg.events import SignalEvent
-from repro.sg.graph import State, StateGraph
+from repro.sg.graph import State, StateGraph, unpack_code
 
 
 class CompositionError(RuntimeError):
@@ -108,29 +108,33 @@ class PackedExploration:
 
     def state_id(self, index: int) -> State:
         """The public id ``(spec_state, value tuple)`` of state ``index``."""
-        return (self.spec_states[index], self.space.unpack_vector(self.codes[index]))
+        return (self.spec_states[index], unpack_code(self.codes[index], self.space.width))
 
     def state_ids(self) -> List[State]:
         """Every public state id in index order (computed once)."""
         if self._ids is None:
-            unpack = self.space.unpack_vector
+            width = self.space.width
             self._ids = [
-                (spec_state, unpack(code))
+                (spec_state, unpack_code(code, width))
                 for spec_state, code in zip(self.spec_states, self.codes)
             ]
         return self._ids
 
     def state_graph(self) -> StateGraph:
-        ids = self.state_ids()
-        return StateGraph(
+        """The circuit-level graph, built from the dense form as it is."""
+        events = [
+            2 * position + (event.direction == 1)
+            for position, event in zip(self.arc_pos, self.arc_event)
+        ]
+        return StateGraph.from_packed(
             self.signals,
             self.inputs,
-            {state: state[1] for state in ids},
-            [
-                (ids[src], event, ids[dst])
-                for src, event, dst in zip(self.arc_src, self.arc_event, self.arc_dst)
-            ],
-            ids[0],
+            self.state_ids(),
+            self.codes,
+            self.arc_src,
+            events,
+            self.arc_dst,
+            0,
             name=self.name,
         )
 

@@ -56,12 +56,18 @@ def fingerprint_state_graph(sg: StateGraph) -> str:
     cached = sg._analysis_cache.get("pipeline_fingerprint")
     if cached is not None:
         return cached
+    # read off the dense form; the digest does not depend on state or
+    # arc order, so it is one key for every construction of a graph
+    names = [str(state) for state in sg.state_list]
+    events = [str(event) for event in sg.events]
     arcs = sorted(
-        f"{source}>{event.signal}{'+' if event.direction == 1 else '-'}>{target}"
-        for source, event, target in sg.arcs()
+        f"{names[s]}>{events[e]}>{names[t]}"
+        for s, e, t in zip(sg.arc_sources, sg.arc_events, sg.arc_targets)
     )
+    width = len(sg.signals)
     codes = sorted(
-        f"{state}={''.join(map(str, sg.code(state)))}" for state in sg.state_list
+        f"{name}={format(code, 'b').zfill(width)[::-1] if width else ''}"
+        for name, code in zip(names, sg.packed_codes)
     )
     digest = _digest(
         sg.name,

@@ -222,7 +222,9 @@ class Pipeline:
             base_reached = ctx.probe("reach", (base_stg_fp, base_spec.max_states))
         if base_reached is not None:
             hints.base_reached = base_reached
-            hints.base_regions = ctx.probe("regions", (base_reached.fingerprint,))
+            hints.base_regions = ctx.probe(
+                "regions", (base_reached.fingerprint,), upstream=(base_reached,)
+            )
             if hints.base_regions is not None:
                 hints.base_mc = ctx.probe(
                     "mc",
@@ -321,7 +323,7 @@ class Pipeline:
                 fingerprint=fingerprint_region_map(reached.fingerprint, regions),
             )
 
-        return ctx.memoize("regions", key, compute)
+        return ctx.memoize("regions", key, compute, upstream=(reached,))
 
     def _mc(
         self,

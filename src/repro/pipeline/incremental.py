@@ -42,7 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.sg.graph import StateGraph
 from repro.sg.regions import (
     ExcitationRegion,
-    _bfs_order,
+    _bfs_ranks,
     constant_function_region,
     excited_value_sets,
     minimal_states,
@@ -88,8 +88,8 @@ def signal_region_digest(sg: StateGraph, signal: str) -> str:
     split them into weakly connected components).
     """
     position = sg.signal_position(signal)
-    discovery = _bfs_order(sg)
-    fallback = len(discovery)
+    ranks = _bfs_ranks(sg)
+    index = sg.state_index
     parts: List[str] = [signal]
     for direction in (+1, -1):
         before = 0 if direction == 1 else 1
@@ -98,9 +98,7 @@ def signal_region_digest(sg: StateGraph, signal: str) -> str:
             for state in sg.state_list
             if sg.code(state)[position] == before and sg.is_excited(state, signal)
         }
-        members = sorted(
-            f"{state!r}@{discovery.get(state, fallback)}" for state in excited
-        )
+        members = sorted(f"{state!r}@{ranks[index[state]]}" for state in excited)
         edges = sorted(
             f"{source!r}~{target!r}"
             for source in excited

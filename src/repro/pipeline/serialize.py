@@ -10,18 +10,21 @@ compares two engines through it) and :func:`pipeline_result_to_json`
 The stage codecs (:func:`stage_artifact_to_json` /
 :func:`stage_artifact_from_json`) serialise the five *pipeline stage
 artifacts* for the persistent store (:mod:`repro.pipeline.store`,
-envelope ``repro-artifact-store/5``).  These round-trips are
+envelope ``repro-artifact-store/6``).  These round-trips are
 **faithful**: a loaded artifact drives every downstream stage to
 byte-identical results, so region state sets, MC diagnostics, cover
 order and degenerate flags are preserved exactly.  Cubes travel in the
 compiled IR form, a ``[mask, value]`` pair against the graph's signals.
 
-Each state graph is stored once, in the ``reach`` payload.  The ``mc``
-payload names it by fingerprint; so does ``covers``, which also names
-the ``mc`` report by the ``mc`` fingerprint, unless insertion changed
-graph and report -- then it embeds its own.  Decoders resolve these
-references against the ``upstream`` artifacts the caller holds, so a
-loaded report's ``.sg`` is the reach graph object, as in a fresh run.
+Each state graph is stored once, in its dense form (packed codes, arcs
+as index arrays), in the ``reach`` payload.  The ``regions`` and ``mc``
+payloads name it by fingerprint and state-order digest; so does
+``covers``, which also names the ``mc`` report by the ``mc``
+fingerprint, unless insertion changed graph and report -- then it
+embeds its own.  Every state set is a hex bitmask over the state order
+of the graph it refers to.  Decoders resolve these references against
+the ``upstream`` artifacts the caller holds, so a loaded report's
+``.sg`` is the reach graph object, as in a fresh run.
 
 The only intentionally detached piece is the hazard report inside a
 loaded ``SynthesizedNetlist`` (the final stage -- no downstream stage
@@ -217,62 +220,100 @@ def _decode_state(data):
     return tuple(_decode_state(part) for part in data["t"])
 
 
-def _states_to_json(states) -> List:
-    """A state *set* as a deterministically ordered JSON list."""
-    return [_encode_state(state) for state in sorted(states, key=repr)]
+def _engine(sg):
+    from repro.sg.bitengine import bit_analysis
+
+    return bit_analysis(sg)
 
 
-def _states_from_json(data) -> FrozenSet:
-    return frozenset(_decode_state(entry) for entry in data)
+def _states_to_mask(states, engine) -> str:
+    """A state *set* as a hex bitmask over its graph's state order."""
+    try:
+        return format(engine.bits_of(states), "x")
+    except KeyError as error:
+        raise ArtifactCodingError(f"state outside the graph: {error}") from error
+
+
+def _states_from_mask(data: str, engine) -> FrozenSet:
+    return engine.states_of(int(data, 16))
+
+
+def _order_digest(sg) -> str:
+    """Digest of the graph's state order, which the bitmasks refer to.
+
+    Fingerprints do not depend on state order, so a payload whose masks
+    refer to an upstream graph records this digest, and decoding checks
+    it against the graph in hand.
+    """
+    cached = sg._analysis_cache.get("state_order_digest")
+    if cached is None:
+        cached = hashlib.sha256(repr(sg.state_list).encode("utf-8")).hexdigest()[:16]
+        sg._analysis_cache["state_order_digest"] = cached
+    return cached
+
+
+def _check_order(data: Dict, sg) -> None:
+    if data["order"] != _order_digest(sg):
+        raise ArtifactCodingError("state order does not match the upstream graph")
 
 
 def _sg_to_json(sg) -> Dict:
-    """A state graph as a faithful JSON document (unlike the ``.sg``
-    text format, arbitrary str/int/tuple state ids survive)."""
-    states = list(sg.state_list)
-    index = {state: position for position, state in enumerate(states)}
+    """A state graph in its dense form (unlike the ``.sg`` text format,
+    arbitrary str/int/tuple state ids survive): packed codes and the
+    arcs as three index arrays, in the order they were given, so the
+    decoded graph has the same successor and predecessor order."""
+    arcs = sg.given_arc_order()
+    sources, events, targets = sg.arc_sources, sg.arc_events, sg.arc_targets
     return {
         "name": sg.name,
         "signals": list(sg.signals),
         "inputs": sorted(sg.inputs),
-        "states": [_encode_state(state) for state in states],
-        "codes": [list(sg.code(state)) for state in states],
-        "arcs": sorted(
-            [index[s], event.signal, event.direction, index[t]]
-            for s, event, t in sg.arcs()
-        ),
-        "initial": index[sg.initial],
+        "states": [_encode_state(state) for state in sg.state_list],
+        "codes": sg.packed_codes,
+        "sources": [sources[a] for a in arcs],
+        "events": [events[a] for a in arcs],
+        "targets": [targets[a] for a in arcs],
+        "initial": sg.initial_index,
     }
 
 
 def _sg_from_json(data: Dict):
-    from repro.sg.graph import SignalEvent, StateGraph
+    from repro.sg.graph import StateGraph
 
-    states = [_decode_state(entry) for entry in data["states"]]
-    # one event object per signal edge, shared by all of its arcs
-    events = {(s, d): SignalEvent(s, d) for s in data["signals"] for d in (1, -1)}
-    return StateGraph(
-        tuple(data["signals"]),
-        frozenset(data["inputs"]),
-        {state: tuple(code) for state, code in zip(states, data["codes"])},
-        [
-            (states[s], events[signal, direction], states[t])
-            for s, signal, direction, t in data["arcs"]
-        ],
-        states[data["initial"]],
+    states = [
+        entry if entry.__class__ is str else _decode_state(entry)
+        for entry in data["states"]
+    ]
+    return StateGraph.from_packed(
+        data["signals"],
+        data["inputs"],
+        states,
+        data["codes"],
+        data["sources"],
+        data["events"],
+        data["targets"],
+        data["initial"],
         name=data["name"],
     )
 
 
-def _er_to_json(er) -> List:
-    return [er.signal, er.direction, er.index, _states_to_json(er.states)]
+def _er_to_json(er, engine) -> List:
+    try:
+        bits = engine.region_bits(("er", er), er.states)
+    except KeyError as error:
+        raise ArtifactCodingError(f"region state outside the graph: {error}") from error
+    return [er.signal, er.direction, er.index, format(bits, "x")]
 
 
-def _er_from_json(data: List):
+def _er_from_json(data: List, engine):
     from repro.sg.regions import ExcitationRegion
 
-    signal, direction, index, states = data
-    return ExcitationRegion(signal, direction, index, _states_from_json(states))
+    signal, direction, index, mask = data
+    bits = int(mask, 16)
+    er = ExcitationRegion(signal, direction, index, engine.states_of(bits))
+    # the region's bitset is the mask itself
+    engine.sg._analysis_cache[("bits", ("er", er))] = bits
+    return er
 
 
 def _space_of(sg):
@@ -307,20 +348,22 @@ def _cube_from_packed(data, space):
 def _mc_report_to_full_json(report, space) -> Dict:
     """Every verdict with its *full* state sets (unlike the claims-only
     :func:`mc_report_to_json`): loaded reports must be able to drive the
-    insertion engine and the synthesiser exactly like fresh ones.  MC
-    cubes are stored compiled (``[mask, value]`` against ``space``)."""
+    insertion engine and the synthesiser exactly like fresh ones.  State
+    sets are bitmasks over ``report.sg``; MC cubes are stored compiled
+    (``[mask, value]`` against ``space``)."""
+    engine = _engine(report.sg)
     verdicts = []
     for verdict in report.verdicts:
         verdicts.append(
             {
-                "er": _er_to_json(verdict.er),
-                "cfr": _states_to_json(verdict.cfr),
+                "er": _er_to_json(verdict.er, engine),
+                "cfr": _states_to_mask(verdict.cfr, engine),
                 "unique_entry": verdict.unique_entry,
                 "cube": _cube_packed(verdict.mc_cube, space),
-                "group": [_er_to_json(er) for er in verdict.group],
+                "group": [_er_to_json(er, engine) for er in verdict.group],
                 "private": verdict.private,
-                "stuck_stable": _states_to_json(verdict.stuck_stable),
-                "stuck_opposite": _states_to_json(verdict.stuck_opposite),
+                "stuck_stable": _states_to_mask(verdict.stuck_stable, engine),
+                "stuck_opposite": _states_to_mask(verdict.stuck_opposite, engine),
             }
         )
     return {"verdicts": verdicts}
@@ -329,30 +372,42 @@ def _mc_report_to_full_json(report, space) -> Dict:
 def _mc_report_from_full_json(data: Dict, sg, space):
     from repro.core.mc import MCReport, RegionVerdict
 
+    engine = _engine(sg)
     verdicts = []
     for entry in data["verdicts"]:
         verdicts.append(
             RegionVerdict(
-                er=_er_from_json(entry["er"]),
-                cfr=_states_from_json(entry["cfr"]),
+                er=_er_from_json(entry["er"], engine),
+                cfr=_states_from_mask(entry["cfr"], engine),
                 unique_entry=entry["unique_entry"],
                 mc_cube=_cube_from_packed(entry["cube"], space),
-                group=tuple(_er_from_json(er) for er in entry["group"]),
+                group=tuple(_er_from_json(er, engine) for er in entry["group"]),
                 private=entry["private"],
-                stuck_stable=_states_from_json(entry["stuck_stable"]),
-                stuck_opposite=_states_from_json(entry["stuck_opposite"]),
+                stuck_stable=_states_from_mask(entry["stuck_stable"], engine),
+                stuck_opposite=_states_from_mask(entry["stuck_opposite"], engine),
             )
         )
     return MCReport(sg=sg, verdicts=verdicts)
 
 
-def _sg_from_reference(entry, reached):
-    """An embedded state graph, or the upstream ``reach`` graph that a
-    reference names by its fingerprint (a mismatch is a coding error)."""
+def _graph_reference(sg) -> Dict:
+    """Payload fields naming an upstream graph: its fingerprint and the
+    digest of the state order the payload's bitmasks refer to."""
+    from repro.pipeline.artifacts import fingerprint_state_graph
+
+    return {"sg": fingerprint_state_graph(sg), "order": _order_digest(sg)}
+
+
+def _sg_from_reference(data: Dict, reached):
+    """The payload's embedded state graph, or the upstream ``reach``
+    graph it names by fingerprint and state order (a mismatch is a
+    coding error)."""
+    entry = data["sg"]
     if not isinstance(entry, str):
         return _sg_from_json(entry)
     if reached is None or entry != reached.fingerprint:
         raise ArtifactCodingError("state graph reference does not match upstream")
+    _check_order(data, reached.sg)
     return reached.sg
 
 
@@ -375,41 +430,45 @@ def reached_sg_from_json(data: Dict):
     return ReachedSG(sg=sg, source=None, fingerprint=data["fingerprint"])
 
 
-def region_map_to_json(artifact) -> Dict:
-    """Stage ``regions``: the region tuple in analysis order."""
-    return {
-        "regions": [_er_to_json(er) for er in artifact.regions],
-        "fingerprint": artifact.fingerprint,
-    }
+def region_map_to_json(artifact, reached=None) -> Dict:
+    """Stage ``regions``: the region tuple in analysis order, each
+    region's states a bitmask over the upstream reach graph."""
+    if reached is None:
+        raise ArtifactCodingError("regions refer to the upstream reach graph")
+    engine = _engine(reached.sg)
+    return dict(
+        _graph_reference(reached.sg),
+        regions=[_er_to_json(er, engine) for er in artifact.regions],
+        fingerprint=artifact.fingerprint,
+    )
 
 
-def region_map_from_json(data: Dict):
+def region_map_from_json(data: Dict, reached=None):
     from repro.pipeline.artifacts import RegionMap
 
+    engine = _engine(_sg_from_reference(data, reached))
     return RegionMap(
-        regions=tuple(_er_from_json(er) for er in data["regions"]),
+        regions=tuple(_er_from_json(er, engine) for er in data["regions"]),
         fingerprint=data["fingerprint"],
     )
 
 
 def mc_verdict_to_json(artifact, *_upstream) -> Dict:
     """Stage ``mc``: the full report (verdict state sets included); the
-    analysed graph -- the upstream reach graph -- by fingerprint."""
-    from repro.pipeline.artifacts import fingerprint_state_graph
-
+    analysed graph -- the upstream reach graph -- by reference."""
     sg = artifact.report.sg
-    return {
-        "sg": fingerprint_state_graph(sg),
-        "report": _mc_report_to_full_json(artifact.report, _space_of(sg)),
-        "backend": artifact.backend,
-        "fingerprint": artifact.fingerprint,
-    }
+    return dict(
+        _graph_reference(sg),
+        report=_mc_report_to_full_json(artifact.report, _space_of(sg)),
+        backend=artifact.backend,
+        fingerprint=artifact.fingerprint,
+    )
 
 
 def mc_verdict_from_json(data: Dict, reached=None):
     from repro.pipeline.artifacts import MCVerdict
 
-    sg = _sg_from_reference(data["sg"], reached)
+    sg = _sg_from_reference(data, reached)
     return MCVerdict(
         report=_mc_report_from_full_json(data["report"], sg, _space_of(sg)),
         backend=data["backend"],
@@ -417,10 +476,10 @@ def mc_verdict_from_json(data: Dict, reached=None):
     )
 
 
-def _network_to_json(network, space) -> Dict:
+def _network_to_json(network, space, engine) -> Dict:
     def region_mapping(mapping) -> List:
         return [
-            [_cube_packed(cube, space), [_er_to_json(er) for er in regions]]
+            [_cube_packed(cube, space), [_er_to_json(er, engine) for er in regions]]
             for cube, regions in mapping.items()
         ]
 
@@ -434,14 +493,14 @@ def _network_to_json(network, space) -> Dict:
     }
 
 
-def _network_from_json(signal: str, data: Dict, space):
+def _network_from_json(signal: str, data: Dict, space, engine):
     from repro.boolean.cover import Cover
     from repro.core.synthesis import SignalNetwork
 
     def region_mapping(entries) -> Dict:
         return {
             _cube_from_packed(cube, space): tuple(
-                _er_from_json(er) for er in regions
+                _er_from_json(er, engine) for er in regions
             )
             for cube, regions in entries
         }
@@ -466,9 +525,10 @@ def cover_plan_to_json(artifact, reached=None, mc=None) -> Dict:
 
     Graph and report are references when they are the upstream
     ``reached.sg`` / ``mc.report`` objects (insertion added no signal).
-    Cube order inside each cover is preserved (it determines gate
-    naming and equation text downstream).  The per-round SAT labellings
-    are the one thing dropped: nothing downstream reads them.
+    Region state sets are bitmasks over the plan's graph.  Cube order
+    inside each cover is preserved (it determines gate naming and
+    equation text downstream).  The per-round SAT labellings are the
+    one thing dropped: nothing downstream reads them.
     """
     insertion = artifact.insertion
     implementation = artifact.implementation
@@ -476,17 +536,20 @@ def cover_plan_to_json(artifact, reached=None, mc=None) -> Dict:
         raise ArtifactCodingError(
             "insertion and implementation disagree on the state graph"
         )
-    space = _space_of(insertion.sg)
-    sg_is_upstream = reached is not None and insertion.sg is reached.sg
+    sg = insertion.sg
+    space = _space_of(sg)
+    engine = _engine(sg)
+    sg_is_upstream = reached is not None and sg is reached.sg
     report_is_upstream = mc is not None and insertion.report is mc.report
-    return {
-        "sg": reached.fingerprint if sg_is_upstream else _sg_to_json(insertion.sg),
-        "report": (
+    graph = _graph_reference(sg) if sg_is_upstream else {"sg": _sg_to_json(sg)}
+    return dict(
+        graph,
+        report=(
             mc.fingerprint
             if report_is_upstream
             else _mc_report_to_full_json(insertion.report, space)
         ),
-        "rounds": [
+        rounds=[
             {
                 "signal": r.signal,
                 "failures_before": r.failures_before,
@@ -495,14 +558,14 @@ def cover_plan_to_json(artifact, reached=None, mc=None) -> Dict:
             }
             for r in insertion.rounds
         ],
-        "networks": {
-            signal: _network_to_json(network, space)
+        networks={
+            signal: _network_to_json(network, space, engine)
             for signal, network in implementation.networks.items()
         },
-        "shared": implementation.shared,
-        "method": implementation.method,
-        "fingerprint": artifact.fingerprint,
-    }
+        shared=implementation.shared,
+        method=implementation.method,
+        fingerprint=artifact.fingerprint,
+    )
 
 
 def cover_plan_from_json(data: Dict, reached=None, mc=None):
@@ -510,8 +573,9 @@ def cover_plan_from_json(data: Dict, reached=None, mc=None):
     from repro.core.synthesis import Implementation
     from repro.pipeline.artifacts import CoverPlan
 
-    sg = _sg_from_reference(data["sg"], reached)
+    sg = _sg_from_reference(data, reached)
     space = _space_of(sg)
+    engine = _engine(sg)
     if not isinstance(data["report"], str):
         report = _mc_report_from_full_json(data["report"], sg, space)
     elif mc is not None and data["report"] == mc.fingerprint:
@@ -531,7 +595,7 @@ def cover_plan_from_json(data: Dict, reached=None, mc=None):
     implementation = Implementation(
         sg=sg,
         networks={
-            signal: _network_from_json(signal, entry, space)
+            signal: _network_from_json(signal, entry, space, engine)
             for signal, entry in data["networks"].items()
         },
         shared=data["shared"],
@@ -584,8 +648,9 @@ STAGE_CODECS = {
 def stage_artifact_to_json(stage: str, artifact, upstream: Tuple = ()) -> Dict:
     """Serialise one pipeline stage artifact for the persistent store.
 
-    Parts that are ``upstream`` artifacts' (``(reached,)`` for ``mc``,
-    ``(reached, mc)`` for ``covers``) are written as references.
+    Parts that are ``upstream`` artifacts' (``(reached,)`` for
+    ``regions`` and ``mc``, ``(reached, mc)`` for ``covers``) are
+    written as references.
     Raises :class:`ArtifactCodingError` when the artifact cannot be
     spilled faithfully and :class:`KeyError` for an unknown stage.
     """

@@ -14,14 +14,16 @@ One entry per ``(stage, memo-key)`` pair::
 Each entry is a JSON envelope stamped with a schema version and the key
 it answers for::
 
-    {"schema": "repro-artifact-store/5", "stage": "mc",
+    {"schema": "repro-artifact-store/6", "stage": "mc",
      "key": ["'<fp>'", "'bitengine'"], "artifact": {...}}
 
-Envelope ``/5`` stores each state graph once, in the ``reach`` entry.
-The ``mc`` payload and a no-insertion ``covers`` payload name that
-graph (and ``covers`` the ``mc`` report) by fingerprint; ``get``
-resolves the references against the upstream artifacts its caller
-passes, so a warm hit rebuilds no graph the process already holds.
+Envelope ``/6`` stores each state graph once, in its dense form, in
+the ``reach`` entry.  The ``regions`` and ``mc`` payloads and a
+no-insertion ``covers`` payload name that graph (and ``covers`` the
+``mc`` report) by fingerprint and state order, and hold state sets as
+bitmasks over it; ``get`` resolves the references against the upstream
+artifacts its caller passes, so a warm hit rebuilds no graph the
+process already holds.
 Older envelopes are not migrated -- the schema check degrades them to
 counted ``corrupt`` misses and they are rewritten on the next put
 (docs/FORMATS.md has the version history).
@@ -48,7 +50,12 @@ Robustness rules, in order of importance:
 
 Eviction is LRU by file mtime: ``get`` bumps the entry's mtime, ``put``
 trims the store to ``max_entries`` (oldest first, the entry just
-written is protected; entry files are stat-ed only over the cap).
+written is protected; entry files are stat-ed only over the cap).  A
+``put`` lists the store only when a cheap count says it may be over the
+cap: the entries found at the last listing plus every put since (an
+overwrite counts too, so the count never falls short of this process's
+own writes).  Other processes' writes are seen at the next listing,
+which happens at least every ``max_entries // 16`` puts.
 Hit/miss/evict counters are kept per stage and mirrored into
 :mod:`repro.perf` (``store-hit:<stage>`` etc.) so CLI ``--profile``
 output and the bench harness surface store traffic.
@@ -70,7 +77,7 @@ from repro.pipeline.serialize import (
 
 #: envelope schema stamp; bump on any incompatible payload change (old
 #: entries then read as corrupt misses and are rewritten, never crash)
-STORE_SCHEMA = "repro-artifact-store/5"
+STORE_SCHEMA = "repro-artifact-store/6"
 
 #: the store event vocabulary, in reporting order
 EVENTS = ("hit", "miss", "corrupt", "put", "skip", "evict")
@@ -92,6 +99,10 @@ class ArtifactStore:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.root = str(root)
         self.max_entries = max_entries
+        #: upper bound on the entry count from this process's view: the
+        #: count at the last listing plus the puts since (None: unlisted)
+        self._count_bound: Optional[int] = None
+        self._puts_since_listing = 0
         #: event -> stage -> count (see ``stats()``)
         self._counters: Dict[str, Dict[str, int]] = {e: {} for e in EVENTS}
 
@@ -214,7 +225,8 @@ class ArtifactStore:
                 pass
             return False
         self._count("put", stage)
-        self.trim(protect=path)
+        if self._may_be_over_cap():
+            self.trim(protect=path)
         return True
 
     # ------------------------------------------------------------------
@@ -224,12 +236,15 @@ class ArtifactStore:
         """Evict least-recently-used entries beyond ``max_entries``.
 
         ``protect`` exempts one path (the entry just written).  Returns
-        the number of entries evicted.  Entry files are only stat-ed
-        when the store is over its cap.
+        the number of entries evicted.  ``put`` calls it only when its
+        count bound may exceed the cap (see the module docstring); entry
+        files are only stat-ed when the listing is over the cap.
         """
         if self.max_entries is None:
             return 0
         entries = self._entries()
+        self._count_bound = len(entries)
+        self._puts_since_listing = 0
         excess = len(entries) - self.max_entries
         if excess <= 0:
             return 0
@@ -251,7 +266,21 @@ class ArtifactStore:
                 continue
             self._count("evict", stage)
             evicted += 1
+        self._count_bound -= evicted
         return evicted
+
+    def _may_be_over_cap(self) -> bool:
+        """Count one put; True when the store must be listed to trim it."""
+        if self.max_entries is None:
+            return False
+        if self._count_bound is None:
+            return True
+        self._count_bound += 1
+        self._puts_since_listing += 1
+        return (
+            self._count_bound > self.max_entries
+            or self._puts_since_listing >= max(1, self.max_entries // 16)
+        )
 
     def __len__(self) -> int:
         return len(self._entries())

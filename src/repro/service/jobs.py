@@ -46,6 +46,7 @@ from repro import (
     EXIT_HAZARD,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    STATUS_ERROR,
     STATUS_FAILED,
     STATUS_INCONCLUSIVE,
     perf,
@@ -524,8 +525,11 @@ def run_job(kind: str, params: Dict, context, emit) -> Dict:
     except JobFailed as exc:
         status, detail = FAILED, str(exc)
     except verdict_errors() as exc:
-        # the design status (inconclusive or failed) is the job status
+        # the design status (inconclusive or failed) is the job status;
+        # an invalid specification fails the job, as at submit time
         status, detail = verdict_of_error(exc)
+        if status == STATUS_ERROR:
+            status = FAILED
     except Exception as exc:  # an internal bug, not a bad request:
         # keep the traceback visible instead of mislabeling it
         traceback.print_exc(file=sys.stderr)

@@ -16,23 +16,32 @@ maintains, per ``StateGraph``, bitsets over the state set so that
   operations against cached region bitsets.
 
 The engine is built lazily, once per graph, and cached in
-``sg._analysis_cache`` (the graph is immutable after construction).  All
-bitsets index states by their position in ``sg.state_list``.  The code
-packing itself is owned by the shared compiled IR: the engine interns
-one :class:`~repro.boolean.compiled.SignalSpace` per graph ordering and
-compiles cubes through it, so boolean/, netlist/ and the pipeline all
-agree on what a packed code means.
+``sg._analysis_cache`` (the graph is immutable after construction).  It
+takes the graph's dense form as it is: bitsets index states by their
+position in ``sg.state_list`` (``sg.state_index``), the packed codes are
+``sg.packed_codes`` (bit ``i`` = signal ``i``, the
+:class:`~repro.boolean.compiled.SignalSpace` layout), and the arc tables
+come straight from the graph's index arrays.  The engine interns one
+``SignalSpace`` per graph ordering and compiles cubes through it, so
+boolean/, netlist/ and the pipeline all agree on what a packed code
+means.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import perf
 from repro.boolean.compiled import SignalSpace
 from repro.boolean.cube import Cube
-from repro.sg.graph import State, StateGraph
+from repro.sg.graph import (
+    State,
+    StateGraph,
+    bits_from_flags,
+    column_bits,
+    flags_from_bits,
+)
 
 
 class BitEngine:
@@ -45,7 +54,6 @@ class BitEngine:
         "position",
         "states",
         "index",
-        "packed",
         "packed_list",
         "all_states_bits",
         "_ones_bits",
@@ -64,13 +72,8 @@ class BitEngine:
         self.signals: Tuple[str, ...] = self.space.signals
         self.position: Dict[str, int] = self.space.position
         self.states: Tuple[State, ...] = sg.state_list
-        self.index: Dict[State, int] = {s: i for i, s in enumerate(self.states)}
-        pack_vector = self.space.pack_vector
-        packed: Dict[State, int] = {
-            state: pack_vector(sg.code(state)) for state in self.states
-        }
-        self.packed: Dict[State, int] = packed
-        self.packed_list: List[int] = [packed[s] for s in self.states]
+        self.index: Dict[State, int] = sg.state_index
+        self.packed_list: List[int] = sg.packed_codes
         self.all_states_bits: int = (1 << len(self.states)) - 1
         #: per signal position, bitset of states where the signal is 1
         self._ones_bits: List[Optional[int]] = [None] * len(self.signals)
@@ -87,26 +90,33 @@ class BitEngine:
     # ------------------------------------------------------------------
     # State-set <-> bitset conversions
     # ------------------------------------------------------------------
-    def bits_of(self, states: Iterable[State]) -> int:
-        """Bitset of a collection of states."""
+    def bits_of(self, states: Collection[State]) -> int:
+        """Bitset of a collection of states.
+
+        Small sets OR their bits directly; larger ones set one flag byte
+        per member and convert the flags in one C-level pass.
+        """
         index = self.index
-        bits = 0
-        for state in states:
-            bits |= 1 << index[state]
-        return bits
+        if len(states) <= 32:
+            bits = 0
+            for state in states:
+                bits |= 1 << index[state]
+            return bits
+        flags = bytearray(len(self.states))
+        for position in map(index.__getitem__, states):
+            flags[position] = 1
+        return bits_from_flags(flags)
 
     def states_of(self, bits: int) -> FrozenSet[State]:
         """The states named by a bitset.
 
-        Dense bitsets decode through ``bin`` + ``compress`` (C-level per
-        state); sparse ones walk their set bits directly.
+        Bitsets denser than one state in 50 decode through one flag byte
+        per state and ``compress`` (C-level per state); sparser ones walk
+        their set bits directly.
         """
         digits = bin(bits)  # popcount via str.count: C-level, 3.9-safe
-        if digits.count("1") * 3 >= len(digits) - 2:
-            reversed_digits = digits[:1:-1].encode()
-            return frozenset(
-                compress(self.states, map((48).__lt__, reversed_digits))
-            )
+        if digits.count("1") * 50 >= len(digits):
+            return frozenset(compress(self.states, flags_from_bits(bits)))
         states = self.states
         result = []
         while bits:
@@ -126,14 +136,7 @@ class BitEngine:
         """
         ones = self._ones_bits[position]
         if ones is None:
-            probe = 1 << position
-            ones = 0
-            bit = 1
-            for word in self.packed_list:
-                if word & probe:
-                    ones |= bit
-                bit <<= 1
-            self._ones_bits[position] = ones
+            ones = self._ones_bits[position] = column_bits(self.packed_list, position)
         return ones if value else self.all_states_bits ^ ones
 
     def cube_bits(self, cube: Cube) -> int:
@@ -159,25 +162,22 @@ class BitEngine:
         self.cube_evals += 1
         if perf._recorder is not None:
             perf._recorder.increment("cube.evaluations")
-        return cube.compiled(self.space).covers_packed(self.packed[state])
+        return cube.compiled(self.space).covers_packed(
+            self.packed_list[self.index[state]]
+        )
 
     # ------------------------------------------------------------------
     # Arc structure
     # ------------------------------------------------------------------
     def _build_arc_tables(self) -> None:
         """Fill the successor/predecessor/adjacency tables in one arc pass."""
-        sg, index = self.sg, self.index
+        sg = self.sg
         n = len(self.states)
         succ = [0] * n
         pred = [0] * n
-        for i, state in enumerate(self.states):
-            bit = 1 << i
-            out = 0
-            for _, target in sg.arcs_from(state):
-                j = index[target]
-                out |= 1 << j
-                pred[j] |= bit
-            succ[i] = out
+        for s, t in zip(sg.arc_sources, sg.arc_targets):
+            succ[s] |= 1 << t
+            pred[t] |= 1 << s
         self._succ_bits = succ
         self._pred_bits = pred
         self._adj_bits = [s | p for s, p in zip(succ, pred)]
@@ -206,20 +206,14 @@ class BitEngine:
     def excited_bits(self, signal: str) -> int:
         """Bitset of states where ``signal`` has an enabled transition.
 
-        Built for every signal in one sweep over the states on first use:
-        the per-state excited sets are small, so one pass beats one pass
-        per signal.
+        Built for every signal on first use, one C-level column pass per
+        signal over the graph's per-state excited masks.
         """
         table = self._excited_bits
         if not table:
-            sg = self.sg
-            for name in self.signals:
-                table[name] = 0
-            bit = 1
-            for state in self.states:
-                for name in sg.excited_signals(state):
-                    table[name] |= bit
-                bit <<= 1
+            masks = self.sg.excited_masks()
+            for position, name in enumerate(self.signals):
+                table[name] = column_bits(masks, position)
         return table[signal]
 
     def weak_components(self, subset: int) -> List[int]:

@@ -52,36 +52,40 @@ class ExcitationRegion:
         return f"ER({self.transition_name}, {len(self.states)} states)"
 
 
-def _bfs_order(sg: StateGraph) -> Dict[State, int]:
-    """Deterministic BFS discovery order from the initial state (cached)."""
-    cached = sg._analysis_cache.get("bfs_order")
+def _bfs_ranks(sg: StateGraph) -> List[int]:
+    """Per state index, its BFS discovery rank from the initial state.
+
+    Successors are visited in (event, target) order as strings, so the
+    ranks do not depend on construction order.  Unreachable states get
+    the rank ``len(sg)``, after every reachable one.  Cached per graph.
+    """
+    cached = sg._analysis_cache.get("bfs_ranks")
     if cached is not None:
         return cached
-    order = {sg.initial: 0}
-    queue = [sg.initial]
-    head = 0
-    event_str: Dict[SignalEvent, str] = {}
-    state_str: Dict[State, str] = {}
+    out, events, targets = sg.out_arcs(), sg.arc_events, sg.arc_targets
+    event_str = [str(event) for event in sg.events]
+    state_str = [str(state) for state in sg.state_list]
 
-    def _key(pair):
-        event, target = pair
-        es = event_str.get(event)
-        if es is None:
-            es = event_str[event] = str(event)
-        ts = state_str.get(target)
-        if ts is None:
-            ts = state_str[target] = str(target)
-        return (es, ts)
+    def key(arc: int):
+        return (event_str[events[arc]], state_str[targets[arc]])
 
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        for event, target in sorted(sg.arcs_from(current), key=_key):
-            if target not in order:
-                order[target] = len(order)
+    ranks = [-1] * len(state_str)
+    start = sg.initial_index
+    ranks[start] = 0
+    queue = [start]
+    for current in queue:
+        arcs = out[current]
+        if len(arcs) > 1:
+            arcs = sorted(arcs, key=key)
+        for arc in arcs:
+            target = targets[arc]
+            if ranks[target] < 0:
+                ranks[target] = len(queue)
                 queue.append(target)
-    sg._analysis_cache["bfs_order"] = order
-    return order
+    if len(queue) < len(ranks):
+        ranks = [len(ranks) if rank < 0 else rank for rank in ranks]
+    sg._analysis_cache["bfs_ranks"] = ranks
+    return ranks
 
 
 def excitation_regions(sg: StateGraph, signal: str) -> List[ExcitationRegion]:
@@ -96,22 +100,26 @@ def excitation_regions(sg: StateGraph, signal: str) -> List[ExcitationRegion]:
     with perf.phase("regions"):
         engine = bit_analysis(sg)
         position = sg.signal_position(signal)
-        discovery = _bfs_order(sg)
+        ranks = _bfs_ranks(sg)
+        index = sg.state_index
         excited_all = engine.excited_bits(signal)
         regions: List[ExcitationRegion] = []
+        cache = sg._analysis_cache
         for direction in (+1, -1):
             before = 0 if direction == 1 else 1
             excited = excited_all & engine.literal_bits(position, before)
             components = [
-                frozenset(engine.states_of(bits))
+                (engine.states_of(bits), bits)
                 for bits in engine.weak_components(excited)
             ]
             components.sort(
-                key=lambda c: min(discovery.get(s, len(discovery)) for s in c)
+                key=lambda c: min(map(ranks.__getitem__, map(index.__getitem__, c[0])))
             )
-            for i, component in enumerate(components, start=1):
-                regions.append(ExcitationRegion(signal, direction, i, component))
-        sg._analysis_cache[("regions", signal)] = regions
+            for i, (component, bits) in enumerate(components, start=1):
+                er = ExcitationRegion(signal, direction, i, component)
+                cache[("bits", ("er", er))] = bits
+                regions.append(er)
+        cache[("regions", signal)] = regions
         return regions
 
 
@@ -157,6 +165,7 @@ def quiescent_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
     stable = _stable_bits(sg, er.signal, er.event.value_after)
     exits = reach & stable  # a may be instantly re-excited; then QR empty
     if not exits:
+        sg._analysis_cache[("bits", ("qr", er))] = 0
         sg._analysis_cache[("qr", er)] = frozenset()
         return frozenset()
     # the stable set is shared by every region of the same (signal,
@@ -171,16 +180,24 @@ def quiescent_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
         if component & exits:
             result |= component
     frozen = engine.states_of(result)
+    sg._analysis_cache[("bits", ("qr", er))] = result
     sg._analysis_cache[("qr", er)] = frozen
     return frozen
 
 
 def constant_function_region(sg: StateGraph, er: ExcitationRegion) -> FrozenSet[State]:
     """CFR(*a_i) = ER(*a_i) u QR(*a_i) (Definition 7).  Cached per graph."""
-    cached = sg._analysis_cache.get(("cfr", er))
+    cache = sg._analysis_cache
+    cached = cache.get(("cfr", er))
     if cached is None:
-        cached = er.states | quiescent_region(sg, er)
-        sg._analysis_cache[("cfr", er)] = cached
+        qr = quiescent_region(sg, er)
+        cached = er.states | qr
+        cache[("cfr", er)] = cached
+        # its bitset, from the two parts' (both usually cached already)
+        engine = bit_analysis(sg)
+        cache[("bits", ("cfr", er))] = engine.region_bits(
+            ("er", er), er.states
+        ) | engine.region_bits(("qr", er), qr)
     return cached
 
 
@@ -258,6 +275,26 @@ def concurrent_signals(sg: StateGraph, er: ExcitationRegion) -> Set[str]:
     return set(sg.signals) - ordered_signals(sg, er)
 
 
+def value_set_bits(sg: StateGraph, signal: str) -> Dict[str, int]:
+    """:func:`excited_value_sets` as bitsets over ``sg.state_list`` (cached)."""
+    cached = sg._analysis_cache.get(("evs_bits", signal))
+    if cached is not None:
+        return cached
+    engine = bit_analysis(sg)
+    position = sg.signal_position(signal)
+    ones = engine.literal_bits(position, 1)
+    zeros = engine.literal_bits(position, 0)
+    excited = engine.excited_bits(signal)
+    result = {
+        "0-set": zeros & ~excited,
+        "0*-set": zeros & excited,
+        "1-set": ones & ~excited,
+        "1*-set": ones & excited,
+    }
+    sg._analysis_cache[("evs_bits", signal)] = result
+    return result
+
+
 def excited_value_sets(sg: StateGraph, signal: str) -> Dict[str, FrozenSet[State]]:
     """The paper's 0-set / 0*-set / 1-set / 1*-set for ``signal``.
 
@@ -276,20 +313,9 @@ def excited_value_sets(sg: StateGraph, signal: str) -> Dict[str, FrozenSet[State
     cached = sg._analysis_cache.get(("evs", signal))
     if cached is not None:
         return cached
-    position = sg.signal_position(signal)
-    zero_stable, zero_excited, one_stable, one_excited = set(), set(), set(), set()
-    for state in sg.states:
-        value = sg.code(state)[position]
-        excited = sg.is_excited(state, signal)
-        if value == 0:
-            (zero_excited if excited else zero_stable).add(state)
-        else:
-            (one_excited if excited else one_stable).add(state)
+    states_of = bit_analysis(sg).states_of
     result = {
-        "0-set": frozenset(zero_stable),
-        "0*-set": frozenset(zero_excited),
-        "1-set": frozenset(one_stable),
-        "1*-set": frozenset(one_excited),
+        name: states_of(bits) for name, bits in value_set_bits(sg, signal).items()
     }
     sg._analysis_cache[("evs", signal)] = result
     return result

@@ -30,6 +30,7 @@ __all__ = [
     "dumps_g",
     "stg_to_state_graph",
     "ReachabilityError",
+    "StateCapExceeded",
     "is_marked_graph",
     "is_free_choice",
     "stg_from_state_graph",
@@ -45,7 +46,7 @@ __getattr__, __dir__ = lazy_exports(
         "stg": ("STG",),
         "parser": ("parse_g", "load_g"),
         "writer": ("dumps_g",),
-        "reachability": ("stg_to_state_graph", "ReachabilityError"),
+        "reachability": ("stg_to_state_graph", "ReachabilityError", "StateCapExceeded"),
         "structural": ("is_marked_graph", "is_free_choice"),
         "synthesis": ("stg_from_state_graph", "NotSynthesizableError"),
         "invariants": ("t_invariants", "s_invariants"),

@@ -50,13 +50,22 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro import perf
-from repro.sg.graph import StateGraph
+from repro.sg.graph import StateGraph, bits_from_flags, event_id
 from repro.stg.petrinet import PetriNet
 from repro.stg.stg import STG
 
 
 class ReachabilityError(ValueError):
-    """The STG is unbounded/unsafe, inconsistent, or too large."""
+    """The STG is unsafe, inconsistent, or too large to elaborate."""
+
+
+class StateCapExceeded(ReachabilityError):
+    """More markings are reachable than the exploration's cap allows.
+
+    The one reachability error that is a budget, not a defect of the
+    specification: a larger cap may still elaborate the net.
+    """
+
 
 
 class Exploration(NamedTuple):
@@ -253,7 +262,7 @@ def explore(
             if target is None:
                 target = len(markings)
                 if target >= max_states:
-                    raise ReachabilityError(f"more than {max_states} reachable markings")
+                    raise StateCapExceeded(f"more than {max_states} reachable markings")
                 index[after] = target
                 markings.append(after)
                 parities.append(new_parity)
@@ -335,28 +344,37 @@ def stg_to_state_graph(
     width = len(signals)
     count = len(exploration.markings)
     names = [f"m{k}" for k in range(count)]
-    codes = {
-        name: (initial ^ parity).to_bytes(width, "little")
-        for name, parity in zip(names, exploration.parities)
-    }
+    # a parity has one 0/1 byte per signal: its bytes are the code's bits
+    codes = [
+        bits_from_flags((initial ^ parity).to_bytes(width, "little"))
+        for parity in exploration.parities
+    ]
 
     # Arcs are ordered by source name, then event, then target name (as
     # strings), and two differently-named transitions with the same
     # signal edge firing between the same pair of markings make a single
     # state-graph arc.
+    position = {s: i for i, s in enumerate(signals)}
     events = sorted({stg.event_of(t) for t in exploration.transitions})
+    event_ids = [event_id(position[e.signal], e.direction) for e in events]
     rank = {event: r for r, event in enumerate(events)}
-    ranks = [rank[stg.event_of(t)] for t in exploration.transitions]
-    outgoing: List[List[Tuple[int, str]]] = [[] for _ in range(count)]
-    for source, t, target in exploration.arcs:
-        outgoing[source].append((ranks[t], names[target]))
-    sg_arcs = []
-    for source in sorted(range(count), key=names.__getitem__):
-        pairs = outgoing[source]
-        if len(pairs) > 1:
-            pairs = sorted(set(pairs))
-        name = names[source]
-        sg_arcs.extend([(name, events[r], target) for r, target in pairs])
-    sg = StateGraph(signals, stg.inputs, codes, sg_arcs, "m0", name=stg.name)
+    ranks = [rank[stg.event_of(t)] * count for t in exploration.transitions]
+    by_name = sorted(range(count), key=names.__getitem__)
+    name_rank = [0] * count
+    for r, k in enumerate(by_name):
+        name_rank[k] = r
+    # one int key per arc: source name rank, event rank, target name rank
+    span = len(events) * count
+    keys = sorted(
+        {name_rank[s] * span + ranks[t] + name_rank[d] for s, t, d in exploration.arcs}
+    )
+    sources = [by_name[key // span] for key in keys]
+    rest = [key % span for key in keys]
+    arc_events = [event_ids[r // count] for r in rest]
+    targets = [by_name[r % count] for r in rest]
+    sg = StateGraph.from_packed(
+        signals, stg.inputs, names, codes, sources, arc_events, targets, 0,
+        name=stg.name,
+    )
     sg.check()
     return sg

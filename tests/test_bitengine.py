@@ -80,7 +80,8 @@ def test_engine_primitives_match_graph(sg):
     for state in sg.states:
         code = sg.code(state)
         for position, signal in enumerate(engine.signals):
-            bit = bool(engine.packed[state] & (1 << position))
+            packed = engine.packed_list[engine.index[state]]
+            bit = bool(packed & (1 << position))
             assert bit == bool(code[position]), (state, signal)
     # literal bitsets name exactly the satisfying states
     for position, signal in enumerate(engine.signals):

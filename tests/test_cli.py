@@ -6,6 +6,25 @@ import pytest
 
 from repro.cli import main
 
+#: specifications whose reachability graph cannot be built: a firing
+#: that marks an already marked place, and a cycle that returns to its
+#: start marking with every signal toggled once
+BROKEN_SPECS = {
+    "unsafe": (
+        ".model unsafe\n.inputs a\n.outputs b\n.graph\n"
+        "p0 a+\na+ qa\nqa b+\nb+ a-\na- b-\nb- p0\n"
+        ".marking {p0 qa}\n.end\n"
+    ),
+    "inconsistent": (
+        ".model inconsistent\n.inputs a\n.outputs b\n.graph\n"
+        "a+ b+\nb+ a+\n.marking {<b+,a+>}\n.end\n"
+    ),
+}
+BROKEN_MESSAGES = {
+    "unsafe": "firing 'a+' puts a second token on 'qa'",
+    "inconsistent": "signal parities (0, 0) and (1, 1)",
+}
+
 pytestmark = pytest.mark.smoke
 
 DATA = os.path.join(
@@ -277,6 +296,25 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "budget" in err.lower() or "marking" in err.lower()
+
+    @pytest.mark.parametrize("kind", ["unsafe", "inconsistent"])
+    def test_unsafe_or_inconsistent_spec_is_invalid_not_inconclusive(
+        self, kind, tmp_path, capsys
+    ):
+        """Only the state cap is a budget: a net that is unsafe or has no
+        consistent state assignment is a malformed specification."""
+        path = tmp_path / f"{kind}.g"
+        path.write_text(BROKEN_SPECS[kind])
+        assert main(["synth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-si: error: invalid specification")
+        assert BROKEN_MESSAGES[kind] in err
+        assert "inconclusive" not in err
+
+    def test_state_cap_stays_inconclusive(self, capsys):
+        code = main(["verify", spec("delement.g"), "--budget-states", "5"])
+        assert code == 3
+        assert "more than 5 reachable markings" in capsys.readouterr().err
 
     def test_time_budget_flag_accepted(self, capsys):
         code = main(["verify", spec("delement.g"), "--budget-seconds", "120"])

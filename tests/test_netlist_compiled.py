@@ -206,6 +206,11 @@ class TestPackedHazardCheck:
                 built.append(args[-1])
                 super().__init__(*args, **kwargs)
 
+            @classmethod
+            def from_packed(cls, *args, **kwargs):
+                built.append(kwargs.get("name"))
+                return super().from_packed(*args, **kwargs)
+
         monkeypatch.setattr(circuit_sg, "StateGraph", CountingStateGraph)
         netlist = netlist_from_implementation(baseline_synthesize(fig4), "C")
         report = verify_speed_independence(netlist, fig4)

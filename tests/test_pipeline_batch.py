@@ -80,6 +80,31 @@ class TestRunBatch:
         assert statuses["delement"] == "hazard-free"
         assert report.exit_code == 1
 
+    def test_unsafe_and_inconsistent_specs_are_errors(self, tmp_path):
+        """An unsafe or inconsistent net is an invalid specification
+        (status ``error``), not a tripped budget (``inconclusive``)."""
+        from tests.test_cli import BROKEN_MESSAGES, BROKEN_SPECS
+
+        paths = []
+        for kind, text in BROKEN_SPECS.items():
+            path = tmp_path / f"{kind}.g"
+            path.write_text(text)
+            paths.append(str(path))
+        report = run_batch(paths)
+        by_name = {o.name: o for o in report.outcomes}
+        for kind, message in BROKEN_MESSAGES.items():
+            assert by_name[kind].status == "error"
+            assert by_name[kind].detail.startswith("invalid specification: ")
+            assert message in by_name[kind].detail
+        assert report.exit_code == 1
+
+    def test_state_cap_marks_inconclusive(self):
+        report = run_batch(SPECS[:1], max_states=3)
+        (outcome,) = report.outcomes
+        assert outcome.status == "inconclusive"
+        assert outcome.detail == "more than 3 reachable markings"
+        assert report.exit_code == 3
+
     def test_per_design_timeout_marks_inconclusive(self):
         report = run_batch(SPECS[:1], timeout_seconds=1e-9)
         (outcome,) = report.outcomes
@@ -120,6 +145,21 @@ class TestBatchCli:
         start = payload.index("{")
         document = json.loads(payload[start:])
         assert document["schema"] == MANIFEST_SCHEMA
+
+    def test_unsafe_spec_is_an_error_row(self, tmp_path, capsys):
+        from tests.test_cli import BROKEN_SPECS
+
+        path = tmp_path / "unsafe.g"
+        path.write_text(BROKEN_SPECS["unsafe"])
+        assert main(["batch", str(path)]) == 1
+        document = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        (row,) = document["designs"]
+        assert row["status"] == "error"
+        assert row["detail"].startswith("invalid specification: firing 'a+'")
+
+    def test_state_cap_is_an_inconclusive_row(self, capsys):
+        assert main(["batch", SPECS[0], "--max-states", "3"]) == 3
+        assert '"status": "inconclusive"' in capsys.readouterr().out
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["batch", str(tmp_path / "nope.g")])

@@ -29,6 +29,7 @@ def _stage_artifacts(design):
 def upstream_of(artifacts, stage):
     """The upstream artifacts a stage payload may refer to."""
     return {
+        "regions": (artifacts["reach"],),
         "mc": (artifacts["reach"],),
         "covers": (artifacts["reach"], artifacts["mc"]),
     }.get(stage, ())
@@ -78,11 +79,12 @@ class TestStageCodecs:
         )
 
     def test_regions_round_trip_keeps_state_sets(self, artifacts):
-        loaded = stage_artifact_from_json(
-            "regions", stage_artifact_to_json("regions", artifacts["regions"])
-        )
+        payload, loaded = round_trip(artifacts, "regions")
         assert loaded.regions == artifacts["regions"].regions
         assert all(er.states for er in loaded.regions)
+        # each region is a hex bitmask over the reach graph's state order
+        assert payload["sg"] == artifacts["reach"].fingerprint
+        assert all(isinstance(er[3], str) for er in payload["regions"])
 
     def test_mc_round_trip_keeps_verdicts(self, artifacts):
         payload, loaded = round_trip(artifacts, "mc")
@@ -284,7 +286,7 @@ class TestArtifactStore:
     def _assert_old_schema_is_counted_miss(tmp_path, artifacts, schema):
         from repro.pipeline.store import STORE_SCHEMA
 
-        assert STORE_SCHEMA == "repro-artifact-store/5"
+        assert STORE_SCHEMA == "repro-artifact-store/6"
         store = ArtifactStore(str(tmp_path / "store"))
         key = ("fp",)
         store.put("reach", key, artifacts["reach"])
@@ -309,6 +311,18 @@ class TestArtifactStore:
         self._assert_old_schema_is_counted_miss(
             tmp_path, artifacts, "repro-artifact-store/4"
         )
+
+    def test_v5_envelope_is_counted_miss_then_rewritten(self, tmp_path, artifacts):
+        """``/5`` entries store state sets as id lists; they are corrupt
+        misses, and the next put rewrites them as ``/6``."""
+        self._assert_old_schema_is_counted_miss(
+            tmp_path, artifacts, "repro-artifact-store/5"
+        )
+        store = ArtifactStore(str(tmp_path / "store"))
+        assert store.put("reach", ("fp",), artifacts["reach"])
+        entry = json.load(open(store.path_for("reach", ("fp",))))
+        assert entry["schema"] == "repro-artifact-store/6"
+        assert store.get("reach", ("fp",)) is not None
 
     def test_graph_reference_mismatch_is_corrupt_miss(
         self, tmp_path, artifacts, plain_artifacts
@@ -409,6 +423,38 @@ class TestArtifactStore:
         monkeypatch.undo()
         assert not others & set(statted)
         assert len(store) == 4
+
+    def test_puts_under_cap_do_not_list_the_store(self, tmp_path, artifacts, monkeypatch):
+        """Only the first put lists the store while a count bound shows
+        it is under its cap; over the cap every put still evicts."""
+        listed = []
+        real_listdir = os.listdir
+
+        def spy(path):
+            listed.append(os.fspath(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", spy)
+        store = ArtifactStore(str(tmp_path / "store"), max_entries=4096)
+        for k in range(50):
+            assert store.put("reach", (f"k{k}",), artifacts["reach"])
+        # one listing: the store root and its one stage directory
+        assert len(listed) == 2
+        monkeypatch.undo()
+        assert len(store) == 50
+
+        monkeypatch.setattr(os, "listdir", spy)
+        small = ArtifactStore(str(tmp_path / "small"), max_entries=3)
+        for k in range(10):
+            assert small.put("reach", (f"k{k}",), artifacts["reach"])
+            os.utime(small.path_for("reach", (f"k{k}",)), (k, k))
+        monkeypatch.undo()
+        assert len(small) == 3
+        assert small.stats()["evict"] == {"reach": 7}
+        # LRU: the three newest entries survive
+        assert [small.get("reach", (f"k{k}",)) is not None for k in range(10)] == (
+            [False] * 7 + [True] * 3
+        )
 
     def test_max_entries_validation(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
