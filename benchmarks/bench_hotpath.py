@@ -192,7 +192,7 @@ def test_store_cold_vs_warm(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Circuit composition: compiled-IR BFS vs dict reference (Table-1)
+# Circuit composition: packed BFS vs dict reference (Table-1)
 # ----------------------------------------------------------------------
 
 #: total wall time for one hazard-check sweep over every synthesized

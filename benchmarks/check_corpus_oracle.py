@@ -12,7 +12,7 @@ claim:
   the manifest verdicts;
 * the **oracle replay** re-derives each design's SOP covers and runs
   the ternary criterion on the literal dicts alone -- no bitengine, no
-  compiled IR, no reachability replay;
+  packed codes, no reachability replay;
 * any design where both oracles are conclusive but disagree fails the
   gate; each disagreement is additionally handed to the fault engine as
   targeted single-event-upset scenarios

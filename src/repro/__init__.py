@@ -179,15 +179,17 @@ def verdict_errors() -> Tuple[type, ...]:
 def verdict_of_error(exc: Exception) -> Verdict:
     """The verdict of an exception in :func:`verdict_errors`.
 
-    A tripped budget or a blown reachability cap is inconclusive.  Any
-    other reachability error -- an unsafe net, no consistent state
-    assignment -- is an invalid specification (status ``error``).  A
-    synthesis that cannot complete is a definite failure.
+    A tripped budget, a blown reachability cap or an expired insertion
+    deadline is inconclusive.  Any other reachability error -- an unsafe
+    net, no consistent state assignment -- is an invalid specification
+    (status ``error``).  A synthesis that cannot complete is a definite
+    failure.
     """
+    from repro.core.insertion import InsertionDeadlineExpired
     from repro.stg.reachability import ReachabilityError, StateCapExceeded
     from repro.verify.budget import BudgetExceeded
 
-    if isinstance(exc, (BudgetExceeded, StateCapExceeded)):
+    if isinstance(exc, (BudgetExceeded, StateCapExceeded, InsertionDeadlineExpired)):
         return Verdict(STATUS_INCONCLUSIVE, getattr(exc, "reason", None) or str(exc))
     if isinstance(exc, ReachabilityError):
         return Verdict(STATUS_ERROR, f"invalid specification: {exc}")

@@ -10,16 +10,15 @@ synthesised logic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.boolean.compiled import CompiledCover, SignalSpace
 from repro.boolean.cube import Cube
 
 
 class Cover:
     """An immutable sum (disjunction) of cubes."""
 
-    __slots__ = ("_cubes", "_compiled")
+    __slots__ = ("_cubes",)
 
     def __init__(self, cubes: Iterable[Cube] = ()):
         seen = []
@@ -29,8 +28,6 @@ class Cover:
             if cube not in seen:
                 seen.append(cube)
         self._cubes: Tuple[Cube, ...] = tuple(seen)
-        #: interned SignalSpace -> CompiledCover (memoised per space)
-        self._compiled: Optional[Dict[SignalSpace, CompiledCover]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -74,31 +71,6 @@ class Cover:
     def covering_cubes(self, code: Mapping[str, int]) -> List[Cube]:
         """All cubes that cover ``code`` (used for 'one gate on' checks)."""
         return [cube for cube in self._cubes if cube.covers(code)]
-
-    def compiled(self, space: SignalSpace) -> CompiledCover:
-        """The cover in the shared mask-value IR, memoised per space."""
-        cache = self._compiled
-        if cache is None:
-            cache = self._compiled = {}
-        cached = cache.get(space)
-        if cached is None:
-            cached = cache[space] = CompiledCover.from_cover(space, self)
-        return cached
-
-    def covers_packed(self, packed_code: int, signal_order: Sequence[str]) -> bool:
-        """O(cubes) covering test against a packed state code."""
-        return self.compiled(SignalSpace.of(signal_order)).covers_packed(
-            packed_code
-        )
-
-    def evaluator(self, signal_order: Sequence[str]):
-        """Compile against a signal ordering; see :meth:`Cube.evaluator`."""
-        evaluators = [cube.evaluator(signal_order) for cube in self._cubes]
-
-        def evaluate(vector: Sequence[int]) -> bool:
-            return any(e(vector) for e in evaluators)
-
-        return evaluate
 
     # ------------------------------------------------------------------
     # Algebra

@@ -11,17 +11,17 @@ state of the region).
 Cubes here are immutable and hashable so they can live in sets, serve as
 dictionary keys during cover selection, and be compared structurally.
 
-The literal dict is the *construction-time* form; every hot-path
-operation compiles into the shared mask-value IR
-(:mod:`repro.boolean.compiled`) on first use and is memoised per
-interned :class:`~repro.boolean.compiled.SignalSpace`.
+The literal dict is the one product-term form.  Against an interned
+:class:`~repro.boolean.compiled.SignalSpace` a cube is also the
+``(mask, value)`` pair of :meth:`Cube.compiled` (memoised per space), and
+:meth:`Cube.from_mask` turns such a pair back into a cube.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from repro.boolean.compiled import CompiledCube, SignalSpace
+from repro.boolean.compiled import SignalSpace
 
 
 class Cube:
@@ -49,8 +49,8 @@ class Cube:
                 )
         self._literals: Dict[str, int] = items
         self._hash: Optional[int] = None
-        #: interned SignalSpace -> CompiledCube (memoised per space)
-        self._compiled: Optional[Dict[SignalSpace, CompiledCube]] = None
+        #: interned SignalSpace -> (mask, value) (memoised per space)
+        self._compiled: Optional[Dict[SignalSpace, Tuple[int, int]]] = None
         self._sorted: Optional[Tuple[Tuple[str, int], ...]] = None
 
     # ------------------------------------------------------------------
@@ -72,6 +72,26 @@ class Cube:
         if len(signals) != len(vector):
             raise ValueError("signals and vector must have the same length")
         return cls(dict(zip(signals, vector)))
+
+    @classmethod
+    def from_mask(cls, space: SignalSpace, mask: int, value: int) -> "Cube":
+        """The cube of a ``(mask, value)`` pair against ``space``.
+
+        The inverse of :meth:`compiled`.  Raises ``ValueError`` when
+        ``mask`` constrains positions outside the space or ``value`` sets
+        bits outside ``mask``.
+        """
+        if mask & ~space.full_mask:
+            raise ValueError("mask constrains positions outside the space")
+        if value & ~mask:
+            raise ValueError("value sets bits outside the mask")
+        signals = space.signals
+        literals = {}
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            literals[signals[low.bit_length() - 1]] = 1 if value & low else 0
+        return cls(literals)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -113,17 +133,15 @@ class Cube:
                 return False
         return True
 
-    def compiled(self, space: SignalSpace) -> CompiledCube:
-        """The cube in the shared mask-value IR against one space.
+    def compiled(self, space: SignalSpace) -> Tuple[int, int]:
+        """The cube as a ``(mask, value)`` pair against one space.
 
-        With every state code packed into a single int (bit ``i`` holding
-        the value of ``space.signals[i]``), the cube covers a packed code
-        ``p`` iff ``p & mask == value`` -- one AND plus one compare,
-        independent of the literal count.  This is the O(words) form the
-        bitmask analysis engine and the netlist evaluators use on the
-        synthesis hot path.
+        ``mask`` has a 1-bit for every constrained position of
+        ``space.signals`` and ``value`` the required values on those bits,
+        so the cube covers a packed code ``p`` iff ``p & mask == value``
+        -- one AND plus one compare, independent of the literal count.
 
-        The result is memoised per interned space (a cube is typically
+        The pair is memoised per interned space (a cube is typically
         queried against exactly one graph's ordering thousands of times).
         """
         cache = self._compiled
@@ -131,43 +149,15 @@ class Cube:
             cache = self._compiled = {}
         cached = cache.get(space)
         if cached is None:
-            cached = cache[space] = CompiledCube.from_literals(
-                space, self._literals.items()
-            )
+            position_of = space.position
+            mask = value = 0
+            for signal, bit_value in self._literals.items():
+                bit = 1 << position_of[signal]
+                mask |= bit
+                if bit_value:
+                    value |= bit
+            cached = cache[space] = (mask, value)
         return cached
-
-    def compile(self, signal_order: Sequence[str]) -> Tuple[int, int]:
-        """The cube's ``(mask, value)`` pair against an ordering.
-
-        Thin wrapper over :meth:`compiled` kept for callers that want the
-        raw bit pair rather than the :class:`CompiledCube` object.
-        """
-        compiled = self.compiled(SignalSpace.of(signal_order))
-        return (compiled.mask, compiled.value)
-
-    def covers_packed(self, packed_code: int, signal_order: Sequence[str]) -> bool:
-        """O(1) covering test against a packed state code (see :meth:`compiled`)."""
-        return self.compiled(SignalSpace.of(signal_order)).covers_packed(
-            packed_code
-        )
-
-    def evaluator(self, signal_order: Sequence[str]):
-        """Compile the cube against a signal ordering.
-
-        Returns a callable taking a tuple/list of values ordered as
-        ``signal_order`` and returning True iff the cube covers it.  This
-        is the hot path when scanning thousands of state codes.
-        """
-        index = {signal: i for i, signal in enumerate(signal_order)}
-        pairs = tuple((index[s], v) for s, v in self._literals.items())
-
-        def evaluate(vector: Sequence[int]) -> bool:
-            for i, v in pairs:
-                if vector[i] != v:
-                    return False
-            return True
-
-        return evaluate
 
     # ------------------------------------------------------------------
     # Algebra

@@ -8,49 +8,47 @@ generator plus a branch-and-bound unate-covering solver, over functions
 given as explicit on/off/dc sets of state codes.
 
 Functions are specified over *named* signals (consistent with the rest of
-the library); internally everything runs on the shared compiled IR
-(:mod:`repro.boolean.compiled`): minterms are packed ints against an
-interned :class:`~repro.boolean.compiled.SignalSpace` and implicants are
-:class:`~repro.boolean.compiled.CompiledCube` mask-value pairs, so the
-cover test is one AND plus one compare and the QM merge is pure bit
-arithmetic.  The historical ``(dc_mask, value)`` tuple form of
-:func:`generate_primes` is kept as a thin compatibility view.
+the library); internally minterms are packed ints against an interned
+:class:`~repro.boolean.compiled.SignalSpace` and implicants are the
+``(mask, value)`` pairs of :meth:`Cube.compiled
+<repro.boolean.cube.Cube.compiled>`, so the cover test is one AND plus one
+compare and the QM merge is pure bit arithmetic.  Only the chosen primes
+become :class:`~repro.boolean.cube.Cube` objects (:meth:`Cube.from_mask
+<repro.boolean.cube.Cube.from_mask>`).
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.boolean.compiled import CompiledCube, SignalSpace, popcount
+from repro.boolean.compiled import SignalSpace, popcount
 from repro.boolean.cover import Cover
+from repro.boolean.cube import Cube
 
-# The legacy implicant view: ``mask`` has a 1-bit for every *don't-care*
-# position (the complement of the IR's cared-bit mask), ``value`` holds
-# the fixed bits (0 where masked).
+#: an implicant: ``mask`` has a 1-bit for every cared position, ``value``
+#: holds the required values on those bits
 _Implicant = Tuple[int, int]
 
 
 def generate_prime_cubes(
     space: SignalSpace, on_minterms: Set[int], dc_minterms: Set[int]
-) -> List[CompiledCube]:
+) -> List[_Implicant]:
     """All prime implicants of the function (Quine--McCluskey).
 
     ``on_minterms``/``dc_minterms`` are disjoint sets of packed minterms
-    against ``space``.  Implicants are manipulated directly in the IR's
-    ``(mask, value)`` convention (mask = cared positions): two implicants
-    with the same mask merge when their values differ in exactly one
-    cared bit, clearing that bit from both words.  Primes that cover no
-    on-set minterm (pure don't-care primes) are dropped.  The result is
-    canonically ordered by (literal count, mask, value).
+    against ``space``.  Implicants are ``(mask, value)`` pairs (mask =
+    cared positions): two implicants with the same mask merge when their
+    values differ in exactly one cared bit, clearing that bit from both
+    words.  Primes that cover no on-set minterm (pure don't-care primes)
+    are dropped.  The result is canonically ordered by (literal count,
+    mask, value).
     """
     full = space.full_mask
-    current: Set[Tuple[int, int]] = {
-        (full, m) for m in on_minterms | dc_minterms
-    }
-    primes: Set[Tuple[int, int]] = set()
+    current: Set[_Implicant] = {(full, m) for m in on_minterms | dc_minterms}
+    primes: Set[_Implicant] = set()
     while current:
-        merged_from: Set[Tuple[int, int]] = set()
-        next_level: Set[Tuple[int, int]] = set()
+        merged_from: Set[_Implicant] = set()
+        next_level: Set[_Implicant] = set()
         grouped: dict = {}
         for implicant in current:
             grouped.setdefault(implicant[0], []).append(implicant)
@@ -69,28 +67,14 @@ def generate_prime_cubes(
                         merged_from.add((mask, value ^ bit))
         primes |= current - merged_from
         current = next_level
-    kept = [
-        (mask, value)
-        for mask, value in primes
-        if any(m & mask == value for m in on_minterms)
-    ]
-    kept.sort(key=lambda pair: (popcount(pair[0]), pair[0], pair[1]))
-    return [CompiledCube(space, mask, value) for mask, value in kept]
-
-
-def generate_primes(
-    on_minterms: Set[int], dc_minterms: Set[int], width: int
-) -> List[_Implicant]:
-    """Compatibility view of :func:`generate_prime_cubes`.
-
-    Returns the historical ``(dc_mask, value)`` tuples: ``dc_mask`` has a
-    1-bit for every *don't-care* position.
-    """
-    space = SignalSpace.of(tuple(f"_b{i}" for i in range(width)))
-    return [
-        (space.full_mask & ~cube.mask, cube.value)
-        for cube in generate_prime_cubes(space, on_minterms, dc_minterms)
-    ]
+    return sorted(
+        (
+            (mask, value)
+            for mask, value in primes
+            if any(m & mask == value for m in on_minterms)
+        ),
+        key=lambda pair: (popcount(pair[0]), pair[0], pair[1]),
+    )
 
 
 def solve_covering(
@@ -184,7 +168,7 @@ def minimize_onset(
         State codes where the function must be 1 / may be either.
 
     Returns the minimum-cardinality prime cover as a :class:`Cover`
-    (literal-dict view of the compiled primes the solver picked).
+    of the primes the solver picked.
     """
     space = SignalSpace.of(tuple(signals))
     on = {space.pack(code) for code in on_codes}
@@ -192,6 +176,6 @@ def minimize_onset(
     if not on:
         return Cover()
     primes = generate_prime_cubes(space, on, dc)
-    rows = [frozenset(m for m in on if p.covers_packed(m)) for p in primes]
+    rows = [frozenset(m for m in on if m & mask == value) for mask, value in primes]
     chosen = solve_covering(rows, set(on))
-    return Cover(primes[i].to_cube() for i in chosen)
+    return Cover(Cube.from_mask(space, *primes[i]) for i in chosen)

@@ -12,9 +12,8 @@ as ``&``-joined literals otherwise, and covers with `` + `` between cubes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from repro.boolean.compiled import CompiledCover, CompiledCube
 from repro.boolean.cube import Cube
 from repro.boolean.cover import Cover
 
@@ -24,18 +23,12 @@ def format_literal(signal: str, value: int) -> str:
     return signal if value else f"{signal}'"
 
 
-def format_cube(cube: Union[Cube, CompiledCube], compact: bool = True) -> str:
+def format_cube(cube: Cube, compact: bool = True) -> str:
     """Render a cube as a product of literals.
-
-    Accepts the literal-dict :class:`Cube` or the compiled IR form (a
-    :class:`~repro.boolean.compiled.CompiledCube` renders via its
-    literal view, so both forms print identically).
 
     ``compact`` concatenates single-character signal names (paper style,
     ``ab'c``); multi-character names always use `` `` separators.
     """
-    if isinstance(cube, CompiledCube):
-        cube = cube.to_cube()
     if len(cube) == 0:
         return "1"
     parts = [format_literal(s, v) for s, v in cube.literals]
@@ -44,10 +37,8 @@ def format_cube(cube: Union[Cube, CompiledCube], compact: bool = True) -> str:
     return " ".join(parts)
 
 
-def format_cover(cover: Union[Cover, CompiledCover], compact: bool = True) -> str:
+def format_cover(cover: Cover, compact: bool = True) -> str:
     """Render a cover as a sum of products (``ab' + cd``)."""
-    if isinstance(cover, CompiledCover):
-        cover = cover.to_cover()
     if cover.is_empty():
         return "0"
     return " + ".join(format_cube(cube, compact=compact) for cube in cover)

@@ -153,26 +153,17 @@ def is_consistent_excitation_function(
         must_one_bits = sets["1*-set"]
         must_zero_bits = sets["0*-set"] | sets["1-set"]
     ones = _function_bits(engine, cover)
-    if ones is None:  # unknown callable: fall back to per-state evaluation
-        evaluator = cover.evaluator(sg.signals)
-        states_of = engine.states_of
-        return all(evaluator(sg.code(s)) for s in states_of(must_one_bits)) and not any(
-            evaluator(sg.code(s)) for s in states_of(must_zero_bits)
-        )
     return must_one_bits & ~ones == 0 and ones & must_zero_bits == 0
 
 
-def _function_bits(engine: BitEngine, cover) -> Optional[int]:
+def _function_bits(engine: BitEngine, cover) -> int:
     """Bitset where a Cube (AND) or Cover (OR of cubes) evaluates to 1."""
     if isinstance(cover, Cube):
         return engine.cube_bits(cover)
-    cubes = getattr(cover, "cubes", None)
-    if cubes is not None:
-        bits = 0
-        for cube in cubes:
-            bits |= engine.cube_bits(cube)
-        return bits
-    return None
+    bits = 0
+    for cube in cover.cubes:
+        bits |= engine.cube_bits(cube)
+    return bits
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,14 @@ class InsertionError(RuntimeError):
     """No labelling could repair the remaining MC violations."""
 
 
+class InsertionDeadlineExpired(InsertionError):
+    """The insertion search ran past its deadline.
+
+    The one insertion error that is a budget, not a verdict on the graph:
+    a later deadline may still find a repair.
+    """
+
+
 # ----------------------------------------------------------------------
 # Expansion
 # ----------------------------------------------------------------------
@@ -730,9 +738,8 @@ def insert_state_signals(
     ``deadline`` is an absolute :func:`time.monotonic` timestamp bounding
     the search (the candidate loop is SAT-driven and can dominate the
     whole pipeline on adversarial graphs); when the clock passes it the
-    search stops with an :class:`InsertionError` whose message starts
-    with ``"insertion deadline expired"`` -- an *inconclusive* outcome,
-    not a proof that no repair exists.
+    search stops with an :class:`InsertionDeadlineExpired` -- an
+    *inconclusive* outcome, not a proof that no repair exists.
 
     Returns the transformed state graph, the final MC report and the
     per-round history.  Raises :class:`InsertionError` when no candidate
@@ -800,7 +807,7 @@ def insert_state_signals(
                 if tried >= max_models:
                     break
         if _deadline_expired(deadline):
-            raise InsertionError(
+            raise InsertionDeadlineExpired(
                 f"insertion deadline expired in round {round_index + 1} "
                 f"after {total_tried} candidates"
             )

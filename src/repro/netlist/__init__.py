@@ -36,8 +36,6 @@ __all__ = [
     "netlist_to_verilog",
     "netlist_to_dot",
     "sg_to_dot",
-    "decompose_fanin",
-    "fanin_violations",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -50,6 +48,5 @@ __getattr__, __dir__ = lazy_exports(
         "area": ("area_estimate", "area_report"),
         "io": ("netlist_to_json", "netlist_from_json", "save_netlist", "load_netlist"),
         "render": ("netlist_to_verilog", "netlist_to_dot", "sg_to_dot"),
-        "mapping": ("decompose_fanin", "fanin_violations"),
     },
 )

@@ -19,7 +19,7 @@ Composition rules, from a composed state ``(spec_state, values)``:
   circuit violates the specification (a *conformance failure*, recorded
   and not expanded further).
 
-The exploration runs on the compiled IR: the netlist is compiled once
+The exploration runs on packed codes: the netlist is compiled once
 into a :class:`~repro.netlist.netlist.NetlistPlan` (one packed-code
 closure per gate over the interned
 :class:`~repro.boolean.compiled.SignalSpace`), each spec state's input
@@ -267,7 +267,7 @@ def build_circuit_state_graph(
     plan = NetlistPlan(netlist)
     space = plan.space
     initial_values = _settled_initial_values(netlist, spec)
-    initial_code = space.pack_vector(tuple(initial_values[s] for s in netlist.signals))
+    initial_code = space.pack(initial_values)
     position = space.position
     spec_inputs = spec.inputs
     spec_non_inputs = spec.non_inputs

@@ -144,12 +144,12 @@ class Gate:
         The returned callable takes ``(packed_code, current_output)`` and
         returns the next output bit; it agrees with :meth:`next_value` on
         every complete code of ``space``.  AND/OR families reduce to one
-        AND-plus-compare on the packed word; COMPLEX gates evaluate their
-        cover through the shared compiled IR.
+        AND-plus-compare on the packed word; COMPLEX gates test each cube's
+        ``(mask, value)`` pair (:meth:`Cube.compiled
+        <repro.boolean.cube.Cube.compiled>`).
         """
         if self.kind == GateKind.COMPLEX:
-            compiled = self.function.compiled(space)
-            cubes = tuple((c.mask, c.value) for c in compiled.cubes)
+            cubes = tuple(cube.compiled(space) for cube in self.function)
             def complex_eval(packed: int, current: int) -> int:
                 for mask, value in cubes:
                     if packed & mask == value:

@@ -76,12 +76,6 @@ class NetlistPlan:
             name: 1 << space.position[name] for name in netlist.inputs
         }
 
-    def pack(self, values: Dict[str, int]) -> int:
-        return self.space.pack(values)
-
-    def unpack_vector(self, packed: int) -> Tuple[int, ...]:
-        return self.space.unpack_vector(packed)
-
 
 @dataclass
 class Netlist:

@@ -30,6 +30,7 @@ optional perf recorder installed for the duration of each ``run``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -376,10 +377,18 @@ class Pipeline:
             from repro.core.insertion import insert_state_signals
             from repro.core.synthesis import synthesize
 
+            # a wall-clock budget bounds the insertion search too; an
+            # expired deadline raises InsertionDeadlineExpired (inconclusive)
+            seconds_left = ctx.budget.seconds_left
             with perf.phase("insertion"):
                 insertion = insert_state_signals(
                     reached.sg,
                     max_models=spec.max_models,
+                    deadline=(
+                        None
+                        if seconds_left is None
+                        else time.monotonic() + seconds_left
+                    ),
                     report=mc.report,
                     analysis_cache=ctx.incremental.insertion_cache,
                 )

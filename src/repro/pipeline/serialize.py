@@ -13,8 +13,9 @@ artifacts* for the persistent store (:mod:`repro.pipeline.store`,
 envelope ``repro-artifact-store/6``).  These round-trips are
 **faithful**: a loaded artifact drives every downstream stage to
 byte-identical results, so region state sets, MC diagnostics, cover
-order and degenerate flags are preserved exactly.  Cubes travel in the
-compiled IR form, a ``[mask, value]`` pair against the graph's signals.
+order and degenerate flags are preserved exactly.  Cubes travel as
+their ``[mask, value]`` pair against the graph's signals
+(:meth:`Cube.compiled <repro.boolean.cube.Cube.compiled>`).
 
 Each state graph is stored once, in its dense form (packed codes, arcs
 as index arrays), in the ``reach`` payload.  The ``regions`` and ``mc``
@@ -324,25 +325,24 @@ def _space_of(sg):
 
 
 def _cube_packed(cube, space) -> Optional[List[int]]:
-    """A cube as its compiled ``[mask, value]`` pair against ``space``."""
+    """A cube as its ``[mask, value]`` pair against ``space``."""
     if cube is None:
         return None
     try:
-        compiled = cube.compiled(space)
+        return list(cube.compiled(space))
     except KeyError as error:  # literal outside the embedded graph
         raise ArtifactCodingError(
             f"cube constrains a signal outside the graph: {error}"
         ) from error
-    return [compiled.mask, compiled.value]
 
 
 def _cube_from_packed(data, space):
-    from repro.boolean.compiled import CompiledCube
+    from repro.boolean.cube import Cube
 
     if data is None:
         return None
     mask, value = data
-    return CompiledCube(space, int(mask), int(value)).to_cube()
+    return Cube.from_mask(space, int(mask), int(value))
 
 
 def _mc_report_to_full_json(report, space) -> Dict:

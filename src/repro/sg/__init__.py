@@ -15,8 +15,7 @@ This subpackage provides:
 * :mod:`~repro.sg.regions` -- excitation/quiescent/constant-function
   regions, minimal states, unique entry, triggers, ordered/concurrent
   signals (Defs. 5-11),
-* :mod:`~repro.sg.csc` -- Unique/Complete State Coding checks (Def. 14),
-* :mod:`~repro.sg.io` -- a plain-text interchange format.
+* :mod:`~repro.sg.csc` -- Unique/Complete State Coding checks (Def. 14).
 """
 
 from repro._lazy import lazy_exports

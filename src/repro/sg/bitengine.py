@@ -8,7 +8,7 @@ cube; this engine packs each state's code into a single int and
 maintains, per ``StateGraph``, bitsets over the state set so that
 
 * ``cube covers state`` is one AND plus one compare on the packed code
-  (via the shared compiled IR, :mod:`repro.boolean.compiled`),
+  (the cube's ``(mask, value)`` pair, :meth:`repro.boolean.cube.Cube.compiled`),
 * ``states covered by cube`` is L big-int ANDs of per-literal state
   bitsets -- V/word words each -- instead of a V.L Python loop,
 * region-level conditions (covers all of ER, covers nothing outside the
@@ -22,7 +22,7 @@ position in ``sg.state_list`` (``sg.state_index``), the packed codes are
 ``sg.packed_codes`` (bit ``i`` = signal ``i``, the
 :class:`~repro.boolean.compiled.SignalSpace` layout), and the arc tables
 come straight from the graph's index arrays.  The engine interns one
-``SignalSpace`` per graph ordering and compiles cubes through it, so
+``SignalSpace`` per graph ordering and compiles cubes against it, so
 boolean/, netlist/ and the pipeline all agree on what a packed code
 means.
 """
@@ -67,7 +67,7 @@ class BitEngine:
 
     def __init__(self, sg: StateGraph):
         self.sg = sg
-        #: the interned signal space shared with the compiled-IR layer
+        #: the interned signal space cubes are compiled against
         self.space: SignalSpace = SignalSpace.of(sg.signals)
         self.signals: Tuple[str, ...] = self.space.signals
         self.position: Dict[str, int] = self.space.position
@@ -146,9 +146,8 @@ class BitEngine:
         # plain attribute compare, not a function call
         if perf._recorder is not None:
             perf._recorder.increment("cube.evaluations")
-        compiled = cube.compiled(self.space)
+        mask, value = cube.compiled(self.space)
         bits = self.all_states_bits
-        mask, value = compiled.mask, compiled.value
         while mask:
             low = mask & -mask
             mask ^= low
@@ -162,9 +161,8 @@ class BitEngine:
         self.cube_evals += 1
         if perf._recorder is not None:
             perf._recorder.increment("cube.evaluations")
-        return cube.compiled(self.space).covers_packed(
-            self.packed_list[self.index[state]]
-        )
+        mask, value = cube.compiled(self.space)
+        return self.packed_list[self.index[state]] & mask == value
 
     # ------------------------------------------------------------------
     # Arc structure

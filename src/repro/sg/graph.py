@@ -12,7 +12,7 @@ The graph is dense.  States are numbered ``0 .. n-1`` in construction
 order: ``state_list`` holds the ids in that order and ``state_index``
 maps an id to its number.  Each state's code is one packed ``int`` with
 bit ``i`` set when ``signals[i]`` is 1 (the
-:meth:`~repro.boolean.compiled.SignalSpace.pack_vector` layout the
+:meth:`~repro.boolean.compiled.SignalSpace.pack` layout the
 bitmask engine reads, ``packed_codes``).  Arcs are three parallel index
 arrays -- ``arc_sources``, ``arc_events`` and ``arc_targets`` -- where
 event id ``2 * i + 1`` is the rising edge of ``signals[i]`` and

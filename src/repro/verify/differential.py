@@ -179,7 +179,11 @@ def diff_state_graph(
                 f"repair_max_states={repair_max_states}"
             )
         elif repair and not record.mismatches and not fast.satisfied:
-            from repro.core.insertion import InsertionError, insert_state_signals
+            from repro.core.insertion import (
+                InsertionDeadlineExpired,
+                InsertionError,
+                insert_state_signals,
+            )
 
             allowances = [
                 s for s in (repair_seconds, budget.seconds_left) if s is not None
@@ -196,12 +200,10 @@ def diff_state_graph(
                 # MC and the repair engine gave up within its budgets
                 record.inserted_signals = None
                 record.repair_note = str(exc)
-                tolerated = ("no labelling", "MC violations", "deadline expired")
-                record.mismatches += (
-                    []
-                    if any(token in str(exc) for token in tolerated)
-                    else [f"repair: {exc}"]
+                tolerated = isinstance(exc, InsertionDeadlineExpired) or any(
+                    token in str(exc) for token in ("no labelling", "MC violations")
                 )
+                record.mismatches += [] if tolerated else [f"repair: {exc}"]
             else:
                 record.inserted_signals = len(insertion.added_signals)
                 budget.charge_states(

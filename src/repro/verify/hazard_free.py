@@ -8,7 +8,7 @@ Boolean function is constant on the corresponding subcube.  Our
 standard implementation (Fig. 2) is a two-level SOP network per
 excitation function feeding a C element, so the criterion is directly
 checkable on the *literal dicts* of the synthesized covers — no
-compiled IR, no bitengine, no reachability replay: a second derivation
+packed codes, no bitengine, no reachability replay: a second derivation
 path for the paper's central hazard-freedom claim.
 
 Per reachable state ``s`` the excited signals ``U(s)`` are the inputs

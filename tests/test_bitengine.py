@@ -3,8 +3,8 @@
 Two layers of evidence that the packed/bitset fast path computes the
 same thing the plain dictionaries did:
 
-* a hypothesis property test that ``Cube.compile``'s ``(mask, value)``
-  evaluator agrees with ``Cube.covers`` on random cubes and codes,
+* a hypothesis property test that the ``(mask, value)`` pair of
+  ``Cube.compiled`` agrees with ``Cube.covers`` on random cubes and codes,
 * per-graph agreement of every engine primitive (packed codes, literal
   bitsets, cube bitsets, successor tables) with the graph's own
   accessors on the paper figures and the stress generators.
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench.figures import figure1_sg, figure3_sg
 from repro.corpus import alternator, concurrent_fork, token_ring
+from repro.boolean.compiled import SignalSpace
 from repro.boolean.cube import Cube
 from repro.sg.bitengine import bit_analysis
 from repro.stg.reachability import stg_to_state_graph
@@ -42,8 +43,7 @@ def test_compiled_cube_matches_dict_covers(literals, vector):
     cube = Cube(literals)
     code = dict(zip(SIGNALS, vector))
     packed = _pack(code, SIGNALS)
-    assert cube.covers_packed(packed, SIGNALS) == cube.covers(code)
-    mask, value = cube.compile(SIGNALS)
+    mask, value = cube.compiled(SignalSpace.of(SIGNALS))
     assert (packed & mask == value) == cube.covers(code)
 
 
@@ -55,9 +55,10 @@ def test_compiled_cube_matches_dict_covers(literals, vector):
 @settings(max_examples=100, deadline=None)
 def test_compile_is_stable_and_order_sensitive(literals):
     cube = Cube(literals)
-    assert cube.compile(SIGNALS) == cube.compile(SIGNALS)  # memoised
+    space = SignalSpace.of(SIGNALS)
+    assert cube.compiled(space) is cube.compiled(space)  # memoised
     reordered = tuple(reversed(SIGNALS))
-    mask, value = cube.compile(reordered)
+    mask, value = cube.compiled(SignalSpace.of(reordered))
     for position, signal in enumerate(reordered):
         expected = cube.value_of(signal)
         assert bool(mask & (1 << position)) == (expected is not None)

@@ -1,16 +1,16 @@
-"""The compiled cube/cover IR: packing, interning, and algebra parity.
+"""The packed signal space and the ``(mask, value)`` form of a cube.
 
-The mask-value big-int form (`repro.boolean.compiled`) is the single
-representation every layer's hot path runs on; these tests pin its
-semantics against the literal-dict reference algebra of `Cube`/`Cover`.
+`SignalSpace` packs a complete code into one int and `Cube.compiled`
+gives a cube's ``(mask, value)`` pair against it -- the form every
+layer's hot path tests a packed code against; these tests pin it to the
+literal-dict semantics of `Cube`/`Cover` and `Cube.from_mask` back.
 """
 
-import itertools
 import random
 
 import pytest
 
-from repro.boolean.compiled import CompiledCover, CompiledCube, SignalSpace, popcount
+from repro.boolean.compiled import SignalSpace, popcount
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 
@@ -29,6 +29,14 @@ def random_cube(rng, signals=SIGNALS):
     )
 
 
+def unpack(space, word):
+    """A packed code back as a ``signal -> value`` dict."""
+    return {
+        signal: (word >> position) & 1
+        for position, signal in enumerate(space.signals)
+    }
+
+
 class TestSignalSpace:
     def test_interned_identity(self):
         assert SignalSpace.of(SIGNALS) is SignalSpace.of(list(SIGNALS))
@@ -43,8 +51,7 @@ class TestSignalSpace:
     def test_pack_unpack_round_trip(self):
         space = SignalSpace.of(SIGNALS)
         for word in range(1 << len(SIGNALS)):
-            assert space.pack(space.unpack(word)) == word
-            assert space.pack_vector(space.unpack_vector(word)) == word
+            assert space.pack(unpack(space, word)) == word
 
     def test_pack_bit_positions(self):
         space = SignalSpace.of(SIGNALS)
@@ -53,152 +60,63 @@ class TestSignalSpace:
 
     def test_membership_and_index(self):
         space = SignalSpace.of(SIGNALS)
-        assert "c" in space and "z" not in space
-        assert space.index("c") == 2
-        assert len(space) == 5
+        assert "c" in space.position and "z" not in space.position
+        assert space.position["c"] == 2
+        assert space.width == 5
+        assert space.full_mask == 0b11111
 
 
-class TestCompiledCubeSemantics:
+class TestCubeCompiled:
     space = SignalSpace.of(SIGNALS)
 
     def test_covers_agrees_with_literal_cube(self):
         rng = random.Random(7)
         for _ in range(200):
             cube = random_cube(rng)
-            compiled = cube.compiled(self.space)
+            mask, value = cube.compiled(self.space)
             for word in range(1 << len(SIGNALS)):
-                code = self.space.unpack(word)
-                assert compiled.covers_packed(word) == cube.covers(code)
-
-    def test_universal_and_minterm(self):
-        assert CompiledCube.universal(self.space).covers_packed(0b10101)
-        minterm = CompiledCube.minterm(self.space, 0b01100)
-        assert minterm.covers_packed(0b01100)
-        assert not minterm.covers_packed(0b01101)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CompiledCube(self.space, 1 << len(SIGNALS), 0)  # outside space
-        with pytest.raises(ValueError):
-            CompiledCube(self.space, 0b01, 0b10)  # value outside mask
-
-    def test_literal_views_round_trip(self):
-        cube = Cube({"a": 1, "c": 0, "e": 1})
-        compiled = cube.compiled(self.space)
-        assert compiled.to_cube() == cube
-        assert dict(compiled.literals) == {"a": 1, "c": 0, "e": 1}
-        assert compiled.literal_count() == len(cube) == len(compiled)
-
-    def test_memoised_per_space(self):
-        cube = Cube({"a": 1})
-        assert cube.compiled(self.space) is cube.compiled(self.space)
-
-    def test_foreign_space_rejected(self):
-        other = SignalSpace.of(("x", "y"))
-        a = CompiledCube.from_literals(self.space, [("a", 1)])
-        x = CompiledCube.from_literals(other, [("x", 1)])
-        with pytest.raises(ValueError):
-            a.intersect(x)
-
-
-class TestCompiledCubeAlgebraParity:
-    """Word-parallel ops agree with the literal-dict reference algebra."""
-
-    space = SignalSpace.of(SIGNALS)
-
-    def pairs(self, count=300, seed=11):
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield random_cube(rng), random_cube(rng)
-
-    def test_contains(self):
-        for a, b in self.pairs():
-            assert a.compiled(self.space).contains(
-                b.compiled(self.space)
-            ) == a.contains(b)
-
-    def test_intersect(self):
-        for a, b in self.pairs():
-            got = a.compiled(self.space).intersect(b.compiled(self.space))
-            want = a.intersect(b)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got.to_cube() == want
-
-    def test_supercube(self):
-        for a, b in self.pairs():
-            got = a.compiled(self.space).supercube(b.compiled(self.space))
-            assert got.to_cube() == a.supercube(b)
-
-    def test_distance(self):
-        for a, b in self.pairs():
-            assert a.compiled(self.space).distance(
-                b.compiled(self.space)
-            ) == a.distance(b)
-
-    def test_cofactor_semantics(self):
-        """cofactor(p, v) covers w iff the cube covers w with bit p := v."""
-        rng = random.Random(3)
-        for _ in range(50):
-            cube = random_cube(rng).compiled(self.space)
-            for position, bit_value in itertools.product(range(5), (0, 1)):
-                cofactor = cube.cofactor(position, bit_value)
-                bit = 1 << position
-                for word in range(32):
-                    forced = (word | bit) if bit_value else (word & ~bit)
-                    covered = cube.covers_packed(forced)
-                    if cofactor is None:
-                        assert not covered
-                    else:
-                        assert cofactor.covers_packed(word & ~bit) == covered
-
-    def test_without_positions(self):
-        cube = Cube({"a": 1, "b": 0, "c": 1}).compiled(self.space)
-        raised = cube.without_positions(0b10)  # drop 'b'
-        assert raised.to_cube() == Cube({"a": 1, "c": 1})
-
-
-class TestCompiledCover:
-    space = SignalSpace.of(SIGNALS)
+                code = unpack(self.space, word)
+                assert (word & mask == value) == cube.covers(code)
 
     def test_covers_agrees_with_literal_cover(self):
         rng = random.Random(23)
         for _ in range(60):
             cover = Cover(random_cube(rng) for _ in range(rng.randint(0, 4)))
-            compiled = cover.compiled(self.space)
+            pairs = [cube.compiled(self.space) for cube in cover]
             for word in range(1 << len(SIGNALS)):
-                code = self.space.unpack(word)
-                assert compiled.covers_packed(word) == cover.covers(code)
+                code = unpack(self.space, word)
+                packed = any(word & mask == value for mask, value in pairs)
+                assert packed == cover.covers(code)
 
-    def test_order_preserved_duplicates_dropped(self):
-        a = Cube({"a": 1})
-        b = Cube({"b": 0})
-        compiled = CompiledCover.from_cover(self.space, Cover([a, b, a]))
-        assert [c.to_cube() for c in compiled.cubes] == [a, b]
+    def test_universal_and_minterm(self):
+        assert Cube.universal().compiled(self.space) == (0, 0)
+        minterm = Cube.minterm(unpack(self.space, 0b01100))
+        assert minterm.compiled(self.space) == (self.space.full_mask, 0b01100)
 
-    def test_round_trip_view(self):
-        cover = Cover([Cube({"a": 1, "b": 0}), Cube({"c": 1})])
-        assert cover.compiled(self.space).to_cover() == cover
+    def test_validation(self):
+        with pytest.raises(ValueError, match="outside the space"):
+            Cube.from_mask(self.space, 1 << len(SIGNALS), 0)
+        with pytest.raises(ValueError, match="outside the mask"):
+            Cube.from_mask(self.space, 0b01, 0b10)
 
-    def test_irredundant(self):
-        wide = Cube({"a": 1})
-        narrow = Cube({"a": 1, "b": 0})
-        compiled = CompiledCover.from_cover(self.space, Cover([wide, narrow]))
-        kept = compiled.irredundant()
-        assert [c.to_cube() for c in kept.cubes] == [wide]
+    def test_literal_views_round_trip(self):
+        cube = Cube({"a": 1, "c": 0, "e": 1})
+        assert cube.compiled(self.space) == (0b10101, 0b10001)
+        assert Cube.from_mask(self.space, 0b10101, 0b10001) == cube
+        rng = random.Random(5)
+        for _ in range(200):
+            cube = random_cube(rng)
+            assert Cube.from_mask(self.space, *cube.compiled(self.space)) == cube
 
-    def test_covering_cubes_and_counters(self):
-        cover = Cover([Cube({"a": 1}), Cube({"b": 1})]).compiled(self.space)
-        word = self.space.pack({"a": 1, "b": 1, "c": 0, "d": 0, "e": 0})
-        assert len(cover.covering_cubes(word)) == 2
-        assert cover.literal_count() == 2
-        assert bool(cover) and not cover.is_empty()
+    def test_memoised_per_space(self):
+        cube = Cube({"a": 1})
+        assert cube.compiled(self.space) is cube.compiled(self.space)
+        reordered = SignalSpace.of(tuple(reversed(SIGNALS)))
+        assert cube.compiled(reordered) == (1 << 4, 1 << 4)
 
-    def test_empty_cover(self):
-        empty = CompiledCover(self.space)
-        assert empty.is_empty() and not empty.covers_packed(0)
-        assert empty.to_cover().is_empty()
+    def test_foreign_space_rejected(self):
+        with pytest.raises(KeyError):
+            Cube({"x": 1}).compiled(self.space)
 
 
 class TestPopcount:

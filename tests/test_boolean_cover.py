@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.boolean.compiled import SignalSpace
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 
@@ -37,10 +38,12 @@ class TestSemantics:
 
     def test_evaluator_agrees_with_covers(self):
         cover = Cover([Cube({"a": 1, "b": 0}), Cube({"c": 1})])
-        order = ("a", "b", "c")
-        evaluate = cover.evaluator(order)
-        for code in [(1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1)]:
-            assert evaluate(code) == cover.covers(dict(zip(order, code)))
+        space = SignalSpace.of(("a", "b", "c"))
+        pairs = [cube.compiled(space) for cube in cover]
+        for word in range(8):
+            code = {s: (word >> i) & 1 for i, s in enumerate(space.signals)}
+            packed = any(word & mask == value for mask, value in pairs)
+            assert packed == cover.covers(code)
 
     def test_signals(self):
         cover = Cover([Cube({"a": 1}), Cube({"b": 0, "c": 1})])

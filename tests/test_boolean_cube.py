@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boolean.compiled import SignalSpace
 from repro.boolean.cube import Cube
 
 SIGNALS = ("a", "b", "c")
@@ -57,10 +58,11 @@ class TestSemantics:
 
     def test_evaluator_agrees_with_covers(self):
         cube = Cube({"a": 1, "c": 0})
-        order = ("a", "b", "c")
-        evaluate = cube.evaluator(order)
-        for code in [(1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 0, 0)]:
-            assert evaluate(code) == cube.covers(dict(zip(order, code)))
+        space = SignalSpace.of(("a", "b", "c"))
+        mask, value = cube.compiled(space)
+        for word in range(8):
+            code = {s: (word >> i) & 1 for i, s in enumerate(space.signals)}
+            assert (word & mask == value) == cube.covers(code)
 
     def test_contains_signal(self):
         cube = Cube({"a": 1})

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from repro.boolean.cube import Cube
-from repro.boolean.minimize import generate_primes, minimize_onset, solve_covering
+from repro.boolean.compiled import SignalSpace
+from repro.boolean.minimize import generate_prime_cubes, minimize_onset, solve_covering
 
 
 def all_codes(signals):
@@ -26,18 +27,20 @@ def assert_equivalent(cover, signals, on, dc=()):
 
 
 class TestGeneratePrimes:
+    """Primes are ``(mask, value)`` pairs; ``mask`` holds the cared bits."""
+
     def test_single_minterm(self):
-        primes = generate_primes({0b0}, set(), 2)
-        assert primes == [(0, 0)]
+        primes = generate_prime_cubes(SignalSpace.of(("a", "b")), {0b0}, set())
+        assert primes == [(0b11, 0)]
 
     def test_full_function_is_one_prime(self):
-        primes = generate_primes({0, 1, 2, 3}, set(), 2)
-        assert primes == [(0b11, 0)]
+        primes = generate_prime_cubes(SignalSpace.of(("a", "b")), {0, 1, 2, 3}, set())
+        assert primes == [(0, 0)]
 
     def test_dc_merges_but_pure_dc_primes_dropped(self):
         # f(a) with on = {1}, dc = {0}: single prime covering everything
-        primes = generate_primes({1}, {0}, 1)
-        assert (1, 0) in primes
+        primes = generate_prime_cubes(SignalSpace.of(("a",)), {1}, {0})
+        assert primes == [(0, 0)]
 
 
 class TestSolveCovering:

@@ -494,3 +494,44 @@ def test_synth_loads_only_what_it_runs():
     )
     assert "repro.core.insertion" in loaded
     assert sorted(name for name in unused if name in loaded) == []
+
+
+#: Source lines of every ``repro`` module (``cli.py`` included) that a
+#: ``synth`` process loads.  A cold process compiles all of them, so this
+#: is the synth path's compile cost; raise it only for lines the path needs.
+SYNTH_SOURCE_LINES = 10419
+
+
+def test_synth_source_lines_stay_pinned():
+    """The ``repro`` source a ``synth`` process loads, in lines."""
+    import subprocess
+    import sys
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['synth', {spec('nak-pa.g')!r}, '--area']) == 0\n"
+        "total = 0\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    path = getattr(module, '__file__', None)\n"
+        "    if path and (name == 'repro' or name.startswith('repro.')):\n"
+        "        with open(path, encoding='utf-8') as handle:\n"
+        "            total += sum(1 for _ in handle)\n"
+        "print(total)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+        ),
+    )
+    lines = int(result.stdout.splitlines()[-1])
+    assert lines <= SYNTH_SOURCE_LINES, (
+        f"a synth process loads {lines} repro source lines, more than "
+        f"SYNTH_SOURCE_LINES = {SYNTH_SOURCE_LINES}"
+    )

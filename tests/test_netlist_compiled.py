@@ -1,4 +1,4 @@
-"""Packed gate evaluation and circuit composition on the compiled IR.
+"""Packed gate evaluation and circuit composition on packed codes.
 
 Every gate kind's :meth:`compiled_evaluator` closure must agree with the
 dict-based :meth:`next_value` reference on every input code, and the
@@ -52,6 +52,14 @@ GATE_CASES = [
 ]
 
 
+def unpack(space, word):
+    """A packed code back as a ``signal -> value`` dict."""
+    return {
+        signal: (word >> position) & 1
+        for position, signal in enumerate(space.signals)
+    }
+
+
 class TestCompiledEvaluatorParity:
     """compiled_evaluator == next_value over every code and held value."""
 
@@ -62,8 +70,8 @@ class TestCompiledEvaluatorParity:
     )
     def test_every_code(self, gate):
         evaluate = gate.compiled_evaluator(self.space)
-        for word in range(1 << len(self.space)):
-            values = self.space.unpack(word)
+        for word in range(1 << self.space.width):
+            values = unpack(self.space, word)
             for current in (0, 1):
                 assert evaluate(word, current) == gate.next_value(
                     values, current
@@ -72,9 +80,9 @@ class TestCompiledEvaluatorParity:
     def test_empty_cover_complex_is_constant_zero(self):
         gate = Gate("y", GateKind.COMPLEX, (), function=Cover([]))
         evaluate = gate.compiled_evaluator(self.space)
-        for word in range(1 << len(self.space)):
+        for word in range(1 << self.space.width):
             assert evaluate(word, 1) == 0 == gate.next_value(
-                self.space.unpack(word), 1
+                unpack(self.space, word), 1
             )
 
 
@@ -100,7 +108,7 @@ class TestNetlistPlan:
         plan = NetlistPlan(netlist)
         assert [name for name, _, _ in plan.rs_checks] == ["q"]
         name, mask, value = plan.rs_checks[0]
-        assert mask == value == plan.pack({"s": 1, "r": 1, "q": 0, "p": 0})
+        assert mask == value == plan.space.pack({"s": 1, "r": 1, "q": 0, "p": 0})
 
     def test_absent_signal_is_a_netlist_error(self):
         netlist = self.wire()

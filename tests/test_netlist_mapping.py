@@ -1,11 +1,91 @@
-"""Tests for fanin-bounded technology mapping."""
+"""The fan-in decomposition ablation: why each MC cube is one AND gate.
+
+A real standard library bounds gate *fan-in*, so wide MC cubes must be
+decomposed into trees of smaller gates.  :func:`decompose_fanin` below
+performs the naive balanced-tree decomposition -- and thereby
+demonstrates (as an ablation, alongside ``RS-NOR`` and ``C-INV``) why the
+paper treats each cube as **one** AND gate:
+
+The MC discipline makes the *cube output* monotonic, not its partial
+products.  An internal tree node computes a sub-cube (say ``a.b`` of
+``a.b.d'``), which is *not* a monotonous cover of anything: it can rise
+on traces where the full cube stays 0 and then be disabled by an input
+change -- an unacknowledged transition.  These tests show the
+decomposed Figure-3 implementation is genuinely hazardous under
+unbounded delays, while Monte-Carlo simulation with *fast internal
+nodes* (the realistic relational assumption, as for the input inverters
+of Section III) stays clean.  Correct speed-independent decomposition
+needs acknowledged intermediate signals and is later work
+(Kondratyev et al. 1998, Burns' technology mapping); out of scope here.
+"""
+
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.core.synthesis import synthesize
+from repro.netlist.gates import Gate, GateKind
 from repro.netlist.hazards import verify_speed_independence
-from repro.netlist.mapping import decompose_fanin, fanin_violations
-from repro.netlist.netlist import netlist_from_implementation
+from repro.netlist.netlist import Netlist, netlist_from_implementation
+
+
+def decompose_fanin(netlist: Netlist, max_fanin: int = 2) -> Netlist:
+    """A new netlist with every AND/OR gate's fan-in bounded.
+
+    Wide AND (OR) gates become balanced trees of ``max_fanin``-input
+    AND (OR) gates; input inversion bubbles stay on the leaf level.
+    Latches, wires and complex gates are copied unchanged (the
+    C-element/RS latch are 2-input already; complex gates are atomic by
+    definition).
+    """
+    if max_fanin < 2:
+        raise ValueError("max_fanin must be at least 2")
+    mapped = Netlist(
+        name=f"{netlist.name}_fanin{max_fanin}",
+        inputs=netlist.inputs,
+        interface_outputs=netlist.interface_outputs,
+    )
+    mapped.initial_hints.update(netlist.initial_hints)
+    mapped.declared_state_holding.update(netlist.declared_state_holding)
+
+    counter = [0]
+
+    def tree(
+        kind: GateKind, pins: List[Tuple[str, int]], output: str
+    ) -> None:
+        """Emit a balanced ``kind`` tree computing AND/OR of ``pins``."""
+        level = list(pins)
+        while len(level) > max_fanin:
+            next_level: List[Tuple[str, int]] = []
+            for start in range(0, len(level), max_fanin):
+                chunk = level[start : start + max_fanin]
+                if len(chunk) == 1:
+                    next_level.append(chunk[0])
+                    continue
+                counter[0] += 1
+                node = f"{output}_t{counter[0]}"
+                mapped.add_gate(Gate(node, kind, tuple(chunk)))
+                next_level.append((node, 1))
+            level = next_level
+        mapped.add_gate(Gate(output, kind, tuple(level)))
+
+    for name, gate in netlist.gates.items():
+        if gate.kind in (GateKind.AND, GateKind.OR) and len(gate.inputs) > max_fanin:
+            tree(gate.kind, list(gate.inputs), name)
+        else:
+            mapped.add_gate(gate)
+    mapped.fanin_closure_check()
+    return mapped
+
+
+def fanin_violations(netlist: Netlist, max_fanin: int) -> Dict[str, int]:
+    """Gates whose fan-in exceeds the bound (name -> fan-in)."""
+    return {
+        name: len(gate.inputs)
+        for name, gate in netlist.gates.items()
+        if gate.kind in (GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.NOR)
+        and len(gate.inputs) > max_fanin
+    }
 
 
 class TestDecomposition:

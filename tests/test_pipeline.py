@@ -184,9 +184,19 @@ class TestBudgetSingleCharge:
         assert budget.charged_states == len(fig3.state_list)
 
     def test_wallclock_check_trips_in_netlist_stage(self):
-        sg = stg_to_state_graph(load_benchmark("delement"))
+        # mp-forward-pkt needs no insertion, so the clock is first read
+        # before the speed-independence check
+        sg = stg_to_state_graph(load_benchmark("mp-forward-pkt"))
         context = AnalysisContext(budget=Budget(max_seconds=0.0))
         with pytest.raises(BudgetExceeded, match="speed-independence check"):
+            synthesize_from_state_graph(sg, context=context)
+
+    def test_wallclock_budget_is_the_insertion_deadline(self):
+        from repro.core.insertion import InsertionDeadlineExpired
+
+        sg = stg_to_state_graph(load_benchmark("delement"))
+        context = AnalysisContext(budget=Budget(max_seconds=0.0))
+        with pytest.raises(InsertionDeadlineExpired):
             synthesize_from_state_graph(sg, context=context)
 
 

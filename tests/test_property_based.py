@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boolean.compiled import SignalSpace
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.minimize import minimize_onset
@@ -53,10 +54,10 @@ class TestCubeProperties:
 
     @given(cube_strategy)
     def test_evaluator_matches_covers(self, cube):
-        evaluate = cube.evaluator(SIGNALS)
+        space = SignalSpace.of(SIGNALS)
+        mask, value = cube.compiled(space)
         for code in all_codes():
-            vector = tuple(code[s] for s in SIGNALS)
-            assert evaluate(vector) == cube.covers(code)
+            assert (space.pack(code) & mask == value) == cube.covers(code)
 
     @given(st.lists(cube_strategy, max_size=4))
     def test_cover_is_disjunction(self, cubes):
